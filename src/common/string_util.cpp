@@ -4,29 +4,17 @@
 
 namespace irf {
 
-std::string trim(std::string_view s) {
+std::string_view trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return std::string(s.substr(b, e - b));
+  while (b < e && is_space(s[b])) ++b;
+  while (e > b && is_space(s[e - 1])) --e;
+  return s.substr(b, e - b);
 }
 
 std::string to_lower(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
-std::vector<std::string> split_ws(std::string_view s) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    std::size_t b = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    if (i > b) out.emplace_back(s.substr(b, i - b));
-  }
   return out;
 }
 

@@ -9,14 +9,16 @@
 
 namespace irf {
 
-/// Strip leading/trailing whitespace.
-std::string trim(std::string_view s);
+/// The C-locale isspace set: space, \t, \n, \v, \f, \r.
+constexpr bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+/// Strip leading/trailing whitespace. The result views `s`.
+std::string_view trim(std::string_view s);
 
 /// Lower-case copy (ASCII).
 std::string to_lower(std::string_view s);
-
-/// Split on any run of whitespace; empty tokens are dropped.
-std::vector<std::string> split_ws(std::string_view s);
 
 /// Split on a single delimiter character; empty tokens are kept.
 std::vector<std::string> split(std::string_view s, char delim);

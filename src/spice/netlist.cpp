@@ -1,6 +1,8 @@
 #include "spice/netlist.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <set>
 
 #include "common/error.hpp"
@@ -8,31 +10,97 @@
 
 namespace irf::spice {
 
-NodeId Netlist::intern_node(std::string_view name) {
-  std::string key(name);
-  std::string lower = to_lower(key);
-  if (lower == "0" || lower == "gnd") return kGround;
-  auto [it, inserted] = node_table_.try_emplace(key, static_cast<NodeId>(node_names_.size()));
-  if (inserted) {
-    node_names_.push_back(key);
-    if (is_coordinate_name(key)) {
-      node_coords_.push_back(parse_node_name(key));
-    } else {
-      node_coords_.push_back(std::nullopt);
-    }
+namespace detail {
+
+std::uint32_t narrow_arena_offset(std::size_t offset) {
+  if (offset > std::numeric_limits<std::uint32_t>::max()) {
+    throw Error("netlist node names exceed 4 GiB (arena offset " + std::to_string(offset) +
+                ")");
   }
-  return it->second;
+  return static_cast<std::uint32_t>(offset);
+}
+
+}  // namespace detail
+
+namespace {
+
+std::uint32_t hash_name(std::string_view name) {
+  const std::size_t h = std::hash<std::string_view>{}(name);
+  return static_cast<std::uint32_t>(h ^ (h >> 32));
+}
+
+bool is_ground_name(std::string_view name) {
+  return name == "0" || (name.size() == 3 && starts_with_ci(name, "gnd"));
+}
+
+constexpr std::size_t kMinSlots = 64;
+
+}  // namespace
+
+std::size_t Netlist::find_slot(std::string_view name, std::uint32_t hash) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.id == kGround || (slot.hash == hash && node_name(slot.id) == name)) return i;
+  }
+}
+
+void Netlist::grow_slots() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(std::max(kMinSlots, 2 * old.size()), Slot{});
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.id == kGround) continue;
+    std::size_t i = slot.hash & mask;
+    while (slots_[i].id != kGround) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+NodeId Netlist::intern_node(std::string_view name) {
+  if (is_ground_name(name)) return kGround;
+  const std::uint32_t hash = hash_name(name);
+  // Keep the table at most half full, so probes stay short.
+  if (2 * (name_ends_.size() + 1) > slots_.size()) grow_slots();
+  const std::size_t slot = find_slot(name, hash);
+  if (slots_[slot].id != kGround) return slots_[slot].id;
+
+  if (name_ends_.size() >= static_cast<std::size_t>(std::numeric_limits<NodeId>::max())) {
+    throw Error("netlist node count exceeds the NodeId range");
+  }
+  const std::size_t start = name_arena_.size();
+  const std::uint32_t end = detail::narrow_arena_offset(start + name.size());
+  std::optional<NodeCoords> coords = try_parse_node_name(name);
+  // `name` may view this arena (a substring of an interned name); growing
+  // the arena would then leave it dangling, so copy it by offset.
+  const char* arena = name_arena_.data();
+  if (std::less_equal<const char*>{}(arena, name.data()) &&
+      std::less<const char*>{}(name.data(), arena + start)) {
+    const std::size_t offset = static_cast<std::size_t>(name.data() - arena);
+    name_arena_.resize(end);
+    std::copy_n(name_arena_.data() + offset, name.size(), name_arena_.data() + start);
+  } else {
+    name_arena_.append(name);
+  }
+  const NodeId id = static_cast<NodeId>(name_ends_.size());
+  name_ends_.push_back(end);
+  node_coords_.push_back(coords);
+  slots_[slot] = {hash, id};
+  return id;
 }
 
 std::optional<NodeId> Netlist::find_node(std::string_view name) const {
-  auto it = node_table_.find(std::string(name));
-  if (it == node_table_.end()) return std::nullopt;
-  return it->second;
+  if (slots_.empty()) return std::nullopt;
+  const Slot& slot = slots_[find_slot(name, hash_name(name))];
+  if (slot.id == kGround) return std::nullopt;
+  return slot.id;
 }
 
-const std::string& Netlist::node_name(NodeId id) const {
+std::string_view Netlist::node_name(NodeId id) const {
   if (id < 0 || id >= num_nodes()) throw DimensionError("node id out of range");
-  return node_names_[static_cast<std::size_t>(id)];
+  const std::size_t k = static_cast<std::size_t>(id);
+  const std::size_t begin = k == 0 ? 0 : name_ends_[k - 1];
+  return std::string_view(name_arena_).substr(begin, name_ends_[k] - begin);
 }
 
 const std::optional<NodeCoords>& Netlist::node_coords(NodeId id) const {

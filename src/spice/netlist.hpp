@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "spice/node_name.hpp"
@@ -55,19 +55,36 @@ struct VoltageSource {
   double volts = 0.0;
 };
 
+namespace detail {
+/// Narrow a node-name arena offset to the node table's 32-bit storage.
+/// Throws irf::Error once the names of one netlist pass 4 GiB.
+std::uint32_t narrow_arena_offset(std::size_t offset);
+}  // namespace detail
+
 /// The netlist: node table + element sets. Nodes are interned by name; names
 /// following the coordinate convention also carry parsed coordinates so the
 /// feature extractor can place them on the pixel grid.
+///
+/// The node table keeps every name back to back in one arena string with
+/// 32-bit end offsets, and an open-addressing hash table of node ids with
+/// each name's hash cached beside its id: interning a name costs no heap
+/// allocation of its own.
 class Netlist {
  public:
-  /// Intern `name`, returning its id (kGround for "0"/"gnd"/"GND").
+  /// Intern `name`, returning its id (kGround for "0"/"gnd", any case).
+  /// `name` may be a view of this netlist's own names (see node_name).
   NodeId intern_node(std::string_view name);
 
   /// Lookup without interning; nullopt if the node was never seen.
   std::optional<NodeId> find_node(std::string_view name) const;
 
-  int num_nodes() const { return static_cast<int>(node_names_.size()); }
-  const std::string& node_name(NodeId id) const;
+  int num_nodes() const { return static_cast<int>(name_ends_.size()); }
+
+  /// The name of node `id`, viewing the netlist's name arena. The view is
+  /// valid until the next intern_node call that adds a node (the arena may
+  /// reallocate) and while this netlist is neither destroyed, moved from nor
+  /// assigned to; copy it into a std::string to keep it longer.
+  std::string_view node_name(NodeId id) const;
 
   /// Parsed coordinates for a node, if its name follows the convention.
   const std::optional<NodeCoords>& node_coords(NodeId id) const;
@@ -108,8 +125,19 @@ class Netlist {
   void validate() const;
 
  private:
-  std::unordered_map<std::string, NodeId> node_table_;
-  std::vector<std::string> node_names_;
+  /// One slot of the hash table; id kGround marks an empty slot.
+  struct Slot {
+    std::uint32_t hash = 0;
+    NodeId id = kGround;
+  };
+
+  /// The slot holding `name`, or the empty slot where it would go.
+  std::size_t find_slot(std::string_view name, std::uint32_t hash) const;
+  void grow_slots();
+
+  std::string name_arena_;                ///< every node name, back to back
+  std::vector<std::uint32_t> name_ends_;  ///< end of node k's name in name_arena_
+  std::vector<Slot> slots_;               ///< power-of-two size, linear probing
   std::vector<std::optional<NodeCoords>> node_coords_;
   std::vector<Resistor> resistors_;
   std::vector<CurrentSource> current_sources_;

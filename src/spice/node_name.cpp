@@ -3,7 +3,6 @@
 #include <charconv>
 
 #include "common/error.hpp"
-#include "common/string_util.hpp"
 
 namespace irf::spice {
 
@@ -15,34 +14,46 @@ bool parse_int_piece(std::string_view piece, std::int64_t& out) {
   return ec == std::errc() && ptr == piece.data() + piece.size();
 }
 
+/// Cut `name` at its next '_' (or its end) and return the piece before it.
+std::string_view next_piece(std::string_view& name) {
+  const std::size_t cut = name.find('_');
+  const std::string_view piece = name.substr(0, cut);
+  name.remove_prefix(cut == std::string_view::npos ? name.size() : cut + 1);
+  return piece;
+}
+
 }  // namespace
 
-bool is_coordinate_name(std::string_view name) {
-  std::vector<std::string> parts = split(name, '_');
-  if (parts.size() != 4) return false;
-  if (parts[0].size() < 2 || (parts[0][0] != 'n' && parts[0][0] != 'N')) return false;
-  if (parts[1].size() < 2 || (parts[1][0] != 'm' && parts[1][0] != 'M')) return false;
+std::optional<NodeCoords> try_parse_node_name(std::string_view name) {
+  // Exactly four '_'-separated pieces: n<net>, m<layer>, <x>, <y>.
+  const std::string_view net = next_piece(name);
+  const std::string_view layer = next_piece(name);
+  const std::string_view x = next_piece(name);
+  if (name.find('_') != std::string_view::npos) return std::nullopt;
+  const std::string_view y = name;
+  if (net.size() < 2 || (net[0] != 'n' && net[0] != 'N')) return std::nullopt;
+  if (layer.size() < 2 || (layer[0] != 'm' && layer[0] != 'M')) return std::nullopt;
+  NodeCoords c;
   std::int64_t v = 0;
-  return parse_int_piece(std::string_view(parts[0]).substr(1), v) &&
-         parse_int_piece(std::string_view(parts[1]).substr(1), v) &&
-         parse_int_piece(parts[2], v) && parse_int_piece(parts[3], v);
+  if (!parse_int_piece(net.substr(1), v)) return std::nullopt;
+  c.net = static_cast<int>(v);
+  if (!parse_int_piece(layer.substr(1), v)) return std::nullopt;
+  c.layer = static_cast<int>(v);
+  if (!parse_int_piece(x, c.x_nm) || !parse_int_piece(y, c.y_nm)) return std::nullopt;
+  return c;
+}
+
+bool is_coordinate_name(std::string_view name) {
+  return try_parse_node_name(name).has_value();
 }
 
 NodeCoords parse_node_name(std::string_view name) {
-  if (!is_coordinate_name(name)) {
+  const std::optional<NodeCoords> coords = try_parse_node_name(name);
+  if (!coords) {
     throw ParseError("node name '" + std::string(name) +
                      "' does not match n<net>_m<layer>_<x>_<y>");
   }
-  std::vector<std::string> parts = split(name, '_');
-  NodeCoords c;
-  std::int64_t v = 0;
-  parse_int_piece(std::string_view(parts[0]).substr(1), v);
-  c.net = static_cast<int>(v);
-  parse_int_piece(std::string_view(parts[1]).substr(1), v);
-  c.layer = static_cast<int>(v);
-  parse_int_piece(parts[2], c.x_nm);
-  parse_int_piece(parts[3], c.y_nm);
-  return c;
+  return *coords;
 }
 
 std::string make_node_name(const NodeCoords& coords) {

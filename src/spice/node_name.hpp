@@ -6,6 +6,7 @@
 /// node is spelled `0`. Layer index follows metal numbering (m1 bottom).
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -17,6 +18,10 @@ struct NodeCoords {
   std::int64_t x_nm = 0;
   std::int64_t y_nm = 0;
 };
+
+/// The coordinates of `name`, or nullopt when it does not match the
+/// convention. The one scanner behind both functions below.
+std::optional<NodeCoords> try_parse_node_name(std::string_view name);
 
 /// True if `name` matches the coordinate naming convention.
 bool is_coordinate_name(std::string_view name);

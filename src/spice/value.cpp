@@ -1,6 +1,7 @@
 #include "spice/value.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -12,21 +13,21 @@
 namespace irf::spice {
 
 double parse_value(std::string_view token) {
-  const std::string text = trim(token);
+  const std::string_view text = trim(token);
   if (text.empty()) throw ParseError("empty SPICE value");
   std::size_t pos = 0;
   const std::optional<double> parsed = try_parse_double_prefix(text, &pos);
-  if (!parsed) throw ParseError("bad SPICE value '" + text + "'");
+  if (!parsed) throw ParseError("bad SPICE value '" + std::string(text) + "'");
   const double base = *parsed;
-  std::string suffix = to_lower(std::string_view(text).substr(pos));
+  const std::string_view suffix = text.substr(pos);
   // SPICE ignores trailing unit letters after a recognized suffix ("kohm").
   double mult = 1.0;
   if (suffix.empty()) {
     mult = 1.0;
-  } else if (suffix.rfind("meg", 0) == 0) {
+  } else if (starts_with_ci(suffix, "meg")) {
     mult = 1e6;
   } else {
-    switch (suffix[0]) {
+    switch (std::tolower(static_cast<unsigned char>(suffix[0]))) {
       case 'f': mult = 1e-15; break;
       case 'p': mult = 1e-12; break;
       case 'n': mult = 1e-9; break;
@@ -36,10 +37,17 @@ double parse_value(std::string_view token) {
       case 'g': mult = 1e9; break;
       case 't': mult = 1e12; break;
       default:
-        throw ParseError("unknown SPICE suffix '" + suffix + "' in '" + text + "'");
+        throw ParseError("unknown SPICE suffix '" + to_lower(suffix) + "' in '" +
+                         std::string(text) + "'");
     }
   }
-  return base * mult;
+  const double value = base * mult;
+  // A finite number can overflow through its suffix ("1e300t"); an infinite
+  // element value would not survive write -> parse.
+  if (!std::isfinite(value)) {
+    throw ParseError("SPICE value '" + std::string(text) + "' overflows");
+  }
+  return value;
 }
 
 std::string format_value(double value) {

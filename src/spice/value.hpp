@@ -9,7 +9,8 @@
 
 namespace irf::spice {
 
-/// Parse a SPICE value; throws irf::ParseError on malformed input.
+/// Parse a SPICE value; throws irf::ParseError on malformed input and on a
+/// value that overflows to infinity through its suffix.
 double parse_value(std::string_view token);
 
 /// Format a value the way our writer emits it (shortest round-trippable

@@ -43,7 +43,7 @@ void Waveform::scale(double factor) {
   for (double& v : values_) v *= factor;
 }
 
-Waveform parse_pwl(const std::vector<std::string>& tokens) {
+Waveform parse_pwl(const std::vector<std::string_view>& tokens) {
   if (tokens.empty() || tokens.size() % 2 != 0) {
     throw ParseError("PWL needs an even number of time/value entries");
   }

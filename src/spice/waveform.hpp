@@ -39,6 +39,6 @@ class Waveform {
 
 /// Parse the inside of a PWL(...) card body: "t1 v1 t2 v2 ...", SPICE value
 /// suffixes allowed. Throws irf::ParseError on malformed input.
-Waveform parse_pwl(const std::vector<std::string>& tokens);
+Waveform parse_pwl(const std::vector<std::string_view>& tokens);
 
 }  // namespace irf::spice

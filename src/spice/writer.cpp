@@ -9,8 +9,8 @@
 namespace irf::spice {
 
 namespace {
-std::string name_of(const Netlist& netlist, NodeId id) {
-  return id == kGround ? std::string("0") : netlist.node_name(id);
+std::string_view name_of(const Netlist& netlist, NodeId id) {
+  return id == kGround ? std::string_view("0") : netlist.node_name(id);
 }
 }  // namespace
 

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <string_view>
 
 #include "common/env.hpp"
 #include "common/error.hpp"
@@ -19,6 +23,8 @@
 
 namespace irf {
 namespace {
+
+using namespace std::string_view_literals;
 
 TEST(Grid2D, ConstructionAndAccess) {
   GridF g(3, 4, 1.5f);
@@ -137,13 +143,6 @@ TEST(StringUtil, Trim) {
   EXPECT_EQ(trim(" \n "), "");
 }
 
-TEST(StringUtil, SplitWs) {
-  auto t = split_ws("R1  n1   n2\t0.5");
-  ASSERT_EQ(t.size(), 4u);
-  EXPECT_EQ(t[0], "R1");
-  EXPECT_EQ(t[3], "0.5");
-}
-
 TEST(StringUtil, SplitDelim) {
   auto t = split("a,,b", ',');
   ASSERT_EQ(t.size(), 3u);
@@ -238,6 +237,185 @@ TEST(Parse, Uint64RejectsNegativeWrap) {
   EXPECT_EQ(try_parse_uint64("18446744073709551615").value(), UINT64_MAX);
   EXPECT_FALSE(try_parse_uint64("18446744073709551616").has_value());
   EXPECT_FALSE(try_parse_uint64("7seven").has_value());
+}
+
+// The allocation-free parsers keep strto*'s accept/reject set. Every
+// expected value below was generated by a reference implementation that
+// calls strtod/strtoll/strtoull on a NUL-terminated copy: a leading '+' and
+// underflow to a subnormal or a signed zero are accepted; inf, nan, hex and
+// overflow are rejected; strtoll/strtoull's leading whitespace (and
+// strtoull's negation after it) is kept.
+TEST(Parse, MatchesStrtodTable) {
+  struct DoubleCase {
+    std::string_view text;
+    bool ok;
+    double value;
+    std::size_t consumed;
+  };
+  const DoubleCase doubles[] = {
+      {"0.5"sv, true, 0x1p-1, 3},
+      {"+.5"sv, true, 0x1p-1, 3},
+      {"-.5"sv, true, -0x1p-1, 3},
+      {"5."sv, true, 0x1.4p+2, 2},
+      {"."sv, false, 0.0, 0},
+      {"+"sv, false, 0.0, 0},
+      {"-"sv, false, 0.0, 0},
+      {"+-5"sv, false, 0.0, 0},
+      {"-+5"sv, false, 0.0, 0},
+      {"++5"sv, false, 0.0, 0},
+      {"4.7k"sv, true, 0x1.2cccccccccccdp+2, 3},
+      {"2MEG"sv, true, 0x1p+1, 1},
+      {"1e"sv, true, 0x1p+0, 1},
+      {"1e+"sv, true, 0x1p+0, 1},
+      {"1e-3m"sv, true, 0x1.0624dd2f1a9fcp-10, 4},
+      {"1E5"sv, true, 0x1.86ap+16, 3},
+      {"1.5e+3x"sv, true, 0x1.77p+10, 6},
+      {"1e5e3"sv, true, 0x1.86ap+16, 3},
+      {"1.2.3"sv, true, 0x1.3333333333333p+0, 3},
+      {"007"sv, true, 0x1.cp+2, 3},
+      {"-0"sv, true, -0x0p+0, 2},
+      {"-0.0e9"sv, true, -0x0p+0, 6},
+      {"0.1"sv, true, 0x1.999999999999ap-4, 3},
+      {"1.7976931348623157e308"sv, true, 0x1.fffffffffffffp+1023, 22},
+      {"1.7976931348623159e308"sv, false, 0.0, 0},
+      {"1e308"sv, true, 0x1.1ccf385ebc8ap+1023, 5},
+      {"1e309"sv, false, 0.0, 0},
+      {"-1e999"sv, false, 0.0, 0},
+      {"4.9e-324"sv, true, 0x0.0000000000001p-1022, 8},
+      {"2.5e-324"sv, true, 0x0.0000000000001p-1022, 8},
+      {"2.4e-324"sv, true, 0x0p+0, 8},
+      {"1e-310"sv, true, 0x0.012688b70e62bp-1022, 6},
+      {"1e-400"sv, true, 0x0p+0, 6},
+      {"-1e-400"sv, true, -0x0p+0, 7},
+      {"0.000000000000000000000000000001e-300"sv, true, 0x0p+0, 37},
+      {"123456789012345678901234567890"sv, true, 0x1.8ee90ff6c373ep+96, 30},
+      {"0.1000000000000000055511151231257827"sv, true, 0x1.999999999999ap-4, 36},
+      {"inf"sv, false, 0.0, 0},
+      {"-inf"sv, false, 0.0, 0},
+      {"+INF"sv, false, 0.0, 0},
+      {"nan"sv, false, 0.0, 0},
+      {"NaN(1)"sv, false, 0.0, 0},
+      {"infinity"sv, false, 0.0, 0},
+      {"0x1a"sv, false, 0.0, 0},
+      {"0X1p3"sv, false, 0.0, 0},
+      {"-0x.8"sv, false, 0.0, 0},
+      {"+0x1"sv, false, 0.0, 0},
+      {"0x"sv, true, 0x0p+0, 1},
+      {"0xg"sv, true, 0x0p+0, 1},
+      {"0x.g"sv, true, 0x0p+0, 1},
+      {"00x1"sv, true, 0x0p+0, 2},
+      {"1x"sv, true, 0x1p+0, 1},
+      {" 1"sv, false, 0.0, 0},
+      {"\t1"sv, false, 0.0, 0},
+      {"1 "sv, true, 0x1p+0, 1},
+      {""sv, false, 0.0, 0},
+      {"e5"sv, false, 0.0, 0},
+      {".e5"sv, false, 0.0, 0},
+      {"abc"sv, false, 0.0, 0},
+      {"1\0" "5"sv, true, 0x1p+0, 1},
+      {"12abc"sv, true, 0x1.8p+3, 2},
+      {"3.14159265358979323846"sv, true, 0x1.921fb54442d18p+1, 22},
+  };
+  for (const DoubleCase& c : doubles) {
+    SCOPED_TRACE(std::string(c.text));
+    std::size_t consumed = 0;
+    const std::optional<double> v = try_parse_double_prefix(c.text, &consumed);
+    ASSERT_EQ(v.has_value(), c.ok);
+    if (!c.ok) continue;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*v), std::bit_cast<std::uint64_t>(c.value));
+    EXPECT_EQ(consumed, c.consumed);
+    EXPECT_EQ(try_parse_double(c.text).has_value(), consumed == c.text.size());
+  }
+
+  struct Int64Case {
+    std::string_view text;
+    bool ok;
+    std::int64_t value;
+  };
+  const Int64Case int64s[] = {
+      {"0"sv, true, 0LL},
+      {"-42"sv, true, -42LL},
+      {"+42"sv, true, 42LL},
+      {" 42"sv, true, 42LL},
+      {"\t\n-7"sv, true, -7LL},
+      {"42 "sv, false, 0},
+      {""sv, false, 0},
+      {" "sv, false, 0},
+      {"+"sv, false, 0},
+      {"-"sv, false, 0},
+      {"+-1"sv, false, 0},
+      {"--1"sv, false, 0},
+      {"-+1"sv, false, 0},
+      {"0x10"sv, false, 0},
+      {"1e3"sv, false, 0},
+      {"12abc"sv, false, 0},
+      {"007"sv, true, 7LL},
+      {"9223372036854775807"sv, true, 9223372036854775807LL},
+      {"9223372036854775808"sv, false, 0},
+      {"-9223372036854775808"sv, true, std::numeric_limits<std::int64_t>::min()},
+      {"-9223372036854775809"sv, false, 0},
+      {"18446744073709551615"sv, false, 0},
+      {"18446744073709551616"sv, false, 0},
+      {" -5"sv, true, -5LL},
+      {"-5"sv, true, -5LL},
+      {"-0"sv, true, 0LL},
+      {"99999999999999999999999"sv, false, 0},
+      {"1\0" "2"sv, false, 0},
+      {"1.0"sv, false, 0},
+  };
+  for (const Int64Case& c : int64s) {
+    SCOPED_TRACE(std::string(c.text));
+    const std::optional<std::int64_t> v = try_parse_int64(c.text);
+    ASSERT_EQ(v.has_value(), c.ok);
+    if (c.ok) {
+      EXPECT_EQ(*v, c.value);
+    }
+  }
+
+  struct Uint64Case {
+    std::string_view text;
+    bool ok;
+    std::uint64_t value;
+  };
+  const Uint64Case uint64s[] = {
+      {"0"sv, true, 0ULL},
+      {"-42"sv, false, 0},
+      {"+42"sv, true, 42ULL},
+      {" 42"sv, true, 42ULL},
+      {"\t\n-7"sv, true, 18446744073709551609ULL},
+      {"42 "sv, false, 0},
+      {""sv, false, 0},
+      {" "sv, false, 0},
+      {"+"sv, false, 0},
+      {"-"sv, false, 0},
+      {"+-1"sv, false, 0},
+      {"--1"sv, false, 0},
+      {"-+1"sv, false, 0},
+      {"0x10"sv, false, 0},
+      {"1e3"sv, false, 0},
+      {"12abc"sv, false, 0},
+      {"007"sv, true, 7ULL},
+      {"9223372036854775807"sv, true, 9223372036854775807ULL},
+      {"9223372036854775808"sv, true, 9223372036854775808ULL},
+      {"-9223372036854775808"sv, false, 0},
+      {"-9223372036854775809"sv, false, 0},
+      {"18446744073709551615"sv, true, 18446744073709551615ULL},
+      {"18446744073709551616"sv, false, 0},
+      {" -5"sv, true, 18446744073709551611ULL},
+      {"-5"sv, false, 0},
+      {"-0"sv, false, 0},
+      {"99999999999999999999999"sv, false, 0},
+      {"1\0" "2"sv, false, 0},
+      {"1.0"sv, false, 0},
+  };
+  for (const Uint64Case& c : uint64s) {
+    SCOPED_TRACE(std::string(c.text));
+    const std::optional<std::uint64_t> v = try_parse_uint64(c.text);
+    ASSERT_EQ(v.has_value(), c.ok);
+    if (c.ok) {
+      EXPECT_EQ(*v, c.value);
+    }
+  }
 }
 
 TEST(ScaleConfig, SeedEnvValidation) {

@@ -12,11 +12,13 @@
 #include "common/rng.hpp"
 #include "linalg/dense.hpp"
 #include "models/irpnet.hpp"
+#include "netlist_equal.hpp"
 #include "models/unet.hpp"
 #include "nn/serialize.hpp"
 #include "pg/generator.hpp"
 #include "pg/mna.hpp"
 #include "pg/solve.hpp"
+#include "pg/transient.hpp"
 #include "solver/amg_pcg.hpp"
 #include "solver/cg.hpp"
 #include "spice/parser.hpp"
@@ -56,8 +58,10 @@ TEST_P(SolverAgreement, AllSolversMatchCholesky) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverAgreement, ::testing::Values(11, 22, 33, 44, 55));
 
 // ---------------------------------------------------------------------------
-// Property: SPICE write -> parse is an exact element-level round trip for
-// randomized generated designs (both families, several seeds).
+// Property: SPICE write -> parse is an exact round trip of every node
+// coordinate and every element, bit for bit, for randomized generated
+// designs (both families, several seeds), static and with decaps and PWL
+// loads added.
 class SpiceRoundTrip : public ::testing::TestWithParam<int> {};
 
 TEST_P(SpiceRoundTrip, ElementsSurvive) {
@@ -65,18 +69,14 @@ TEST_P(SpiceRoundTrip, ElementsSurvive) {
   pg::PgDesign design = GetParam() % 2 == 0
                             ? pg::generate_fake_design(24, rng, "rt")
                             : pg::generate_real_design(24, rng, "rt");
-  spice::Netlist again = spice::parse_string(spice::write_string(design.netlist));
-  ASSERT_EQ(again.num_nodes(), design.netlist.num_nodes());
-  ASSERT_EQ(again.resistors().size(), design.netlist.resistors().size());
-  ASSERT_EQ(again.current_sources().size(), design.netlist.current_sources().size());
-  ASSERT_EQ(again.voltage_sources().size(), design.netlist.voltage_sources().size());
-  for (std::size_t i = 0; i < again.resistors().size(); ++i) {
-    EXPECT_DOUBLE_EQ(again.resistors()[i].ohms, design.netlist.resistors()[i].ohms);
-  }
-  for (std::size_t i = 0; i < again.current_sources().size(); ++i) {
-    EXPECT_DOUBLE_EQ(again.current_sources()[i].amps,
-                     design.netlist.current_sources()[i].amps);
-  }
+  testing_support::expect_same_netlist(
+      design.netlist, spice::parse_string(spice::write_string(design.netlist)));
+
+  pg::add_transient_activity(design, rng);
+  ASSERT_FALSE(design.netlist.capacitors().empty());
+  ASSERT_TRUE(design.netlist.has_transient_elements());
+  testing_support::expect_same_netlist(
+      design.netlist, spice::parse_string(spice::write_string(design.netlist)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpiceRoundTrip, ::testing::Range(100, 108));

@@ -3,7 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <unistd.h>
+
 #include "common/error.hpp"
+#include "netlist_equal.hpp"
 #include "spice/netlist.hpp"
 #include "spice/node_name.hpp"
 #include "spice/parser.hpp"
@@ -46,6 +55,7 @@ TEST(Value, MalformedThrows) {
   EXPECT_THROW(parse_value("nan"), ParseError);
   EXPECT_THROW(parse_value("0x10"), ParseError);
   EXPECT_THROW(parse_value("1e999"), ParseError);
+  EXPECT_THROW(parse_value("1e300t"), ParseError);  // overflows through the suffix
 }
 
 TEST(Value, FormatRoundTrips) {
@@ -82,6 +92,27 @@ TEST(Netlist, InterningAndGround) {
   EXPECT_EQ(net.num_nodes(), 1);
   ASSERT_TRUE(net.node_coords(a).has_value());
   EXPECT_EQ(net.node_coords(a)->layer, 1);
+}
+
+TEST(Netlist, ArenaOffsetIsCheckedBeforeNarrowing) {
+  constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_EQ(detail::narrow_arena_offset(kMax), kMax);
+  EXPECT_THROW(detail::narrow_arena_offset(kMax + 1), Error);
+}
+
+// node_name() views the name arena, which intern_node grows. Interning a
+// view of the arena must copy it safely even when that growth reallocates:
+// under ASan a dangling read here is a heap-use-after-free.
+TEST(Netlist, InternOwnNameViewIsSafe) {
+  Netlist net;
+  const NodeId base = net.intern_node(std::string(300, 'x'));
+  for (std::size_t len = 299; len > 0; --len) {
+    const NodeId id = net.intern_node(net.node_name(base).substr(0, len));
+    EXPECT_EQ(net.node_name(id), std::string(len, 'x'));
+    EXPECT_EQ(net.intern_node(net.node_name(id)), id);
+  }
+  EXPECT_EQ(net.num_nodes(), 300);
+  EXPECT_EQ(net.node_name(base), std::string(300, 'x'));
 }
 
 TEST(Netlist, ValidationCatchesProblems) {
@@ -160,6 +191,164 @@ TEST(Parser, ErrorsCarryLineNumbers) {
   }
 }
 
+// The exact message of each malformed deck: line numbers count comment,
+// blank and '+' continuation lines, a card reports the line it starts on,
+// and element errors keep their nesting.
+TEST(Parser, ErrorMessagesMatchTable) {
+  struct Case {
+    const char* deck;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"V1 n1_m1_0_0 0 1.1\nR1 n1_m1_0_0 0.5\n",
+       "parse error: line 2: resistor needs 'Rname a b value'"},
+      {"V1 n1_m1_0_0 0 1.1\nR1 n1_m1_0_0 n1_m1_1_0 0.5 7\n",
+       "parse error: line 2: resistor needs 'Rname a b value'"},
+      {"V1 n1_m1_0_0 0 1.1\nQ1 n1_m1_0_0 0 1\n",
+       "parse error: line 2: unsupported element 'Q1' (only R, I, V, C are "
+       "valid in a PG deck)"},
+      {"V1 n1_m1_0_0 0 1.1\n.weird\n",
+       "parse error: line 2: unsupported control card '.weird'"},
+      {"V1 n1_m1_0_0 0 1.1\n.END\n.Options foo\n.probe\n",
+       "parse error: line 4: unsupported control card '.probe'"},
+      {"R1 0 0 1.0\nV1 n1_m1_0_0 0 1.1\n",
+       "parse error: line 1: resistor between ground and ground"},
+      {"V1 n1_m1_0_0 0 1.1\nR1 n1_m1_0_0 n1_m1_1_0 abc\n",
+       "parse error: line 2: parse error: bad SPICE value 'abc'"},
+      {"V1 n1_m1_0_0 0 1.1\nR1 n1_m1_0_0 n1_m1_1_0 1x\n",
+       "parse error: line 2: parse error: unknown SPICE suffix 'x' in '1x'"},
+      {"V1 n1_m1_0_0 0 1.1\nR1 n1_m1_0_0 n1_m1_1_0 1e999\n",
+       "parse error: line 2: parse error: bad SPICE value '1e999'"},
+      {"V1 n1_m1_0_0 0 1.1\nR1 n1_m1_0_0 n1_m1_1_0 0x10\n",
+       "parse error: line 2: parse error: bad SPICE value '0x10'"},
+      {"V1 n1_m1_0_0 0 1.1\nR1 n1_m1_0_0 n1_m1_1_0 -2k\n",
+       "parse error: line 2: parse error: resistor R1 must be positive, got -2000.000000"},
+      {"V1 n1_m1_0_0 0 1.1\nR1 n1_m1_0_0 n1_m1_1_0 0\n",
+       "parse error: line 2: parse error: resistor R1 must be positive, got 0.000000"},
+      {"V1 n1_m1_0_0 0 1.1\nR1 n1_m1_0_0 n1_m1_0_0 1\n",
+       "parse error: resistor R1 shorts a node to itself"},
+      {"V1 n1_m1_0_0 0 1.1\nR1 n1_m1_0_0 n1_m1_1_0 $ 1\n",
+       "parse error: line 2: resistor needs 'Rname a b value'"},
+      {"V1 n1_m1_0_0 0 1.1\nR1 n1_m1_0_0 n1_m1_1_0 ; 1\n",
+       "parse error: line 2: resistor needs 'Rname a b value'"},
+      {"* title\n\n+ n1_m1_0_0 0 1\nV1 n1_m1_0_0 0 1.1\n",
+       "parse error: line 3: continuation with no preceding card"},
+      {"V1 n1_m1_0_0 0 1.1\nI1 0 0 1m\n",
+       "parse error: line 2: current source must connect a PG node to ground"},
+      {"V1 n1_m1_0_0 0 1.1\nI1 n1_m1_0_0 n1_m1_1_0 1m\n",
+       "parse error: line 2: current source must connect a PG node to ground"},
+      {"V1 n1_m1_0_0 0 1.1\nI1 n1_m1_0_0 0\n",
+       "parse error: line 2: current source needs 'Iname from to value'"},
+      {"V1 n1_m1_0_0 0 1.1\nI1 n1_m1_0_0 0 1m 2m\n",
+       "parse error: line 2: parse error: line 2: current source needs a single value"},
+      {"V1 n1_m1_0_0 0 1.1\nI1 n1_m1_0_0 0 1q\n",
+       "parse error: line 2: parse error: unknown SPICE suffix 'q' in '1q'"},
+      {"V1 n1_m1_0_0 0 1.1\nI1 n1_m1_0_0 0 PWL 0 1\n",
+       "parse error: line 2: parse error: line 2: malformed PWL(...) body"},
+      {"V1 n1_m1_0_0 0 1.1\nI1 n1_m1_0_0 0 PWL(0 1 2)\n",
+       "parse error: line 2: parse error: PWL needs an even number of time/value entries"},
+      {"V1 n1_m1_0_0 0 1.1\nI1 n1_m1_0_0 0 PWL(0 1 1n 2 1n 3)\n",
+       "parse error: line 2: parse error: PWL times must be strictly increasing"},
+      {"V1 n1_m1_0_0 0 1.1\nI1 n1_m1_0_0 0 PWL(-1 1)\n",
+       "parse error: line 2: parse error: PWL time must be non-negative"},
+      {"V1 n1_m1_0_0 0 1.1\nI1 n1_m1_0_0 0 PWL(0,1,1n,zz)\n",
+       "parse error: line 2: parse error: bad SPICE value 'zz'"},
+      {"V1 n1_m1_0_0 0 1.1\nI1 n1_m1_0_0 0 PWL)0 1(\n",
+       "parse error: line 2: parse error: line 2: malformed PWL(...) body"},
+      {"V1 n1_m1_0_0 0 1.1\nC1 0 0 1p\n",
+       "parse error: line 2: capacitor between ground and ground"},
+      {"V1 n1_m1_0_0 0 1.1\nC1 n1_m1_0_0 0 -1p\n",
+       "parse error: line 2: parse error: capacitor C1 must be positive, got -0.000000"},
+      {"V1 n1_m1_0_0 0 1.1\nC1 n1_m1_0_0 0\n",
+       "parse error: line 2: capacitor needs 'Cname a b value'"},
+      {"V1 n1_m1_0_0 0 1.1\nC1 n1_m1_0_0 0 1y\n",
+       "parse error: line 2: parse error: unknown SPICE suffix 'y' in '1y'"},
+      {"V1 n1_m1_0_0 0 1.1\nV2 0 0 1\n",
+       "parse error: line 2: voltage source must connect a PG node to ground"},
+      {"V1 n1_m1_0_0 0 1.1\nV2 n1_m1_0_0 n1_m1_1_0 1\n",
+       "parse error: line 2: voltage source must connect a PG node to ground"},
+      {"V1 n1_m1_0_0 0 1.1\nV2 n1_m1_0_0 0\n",
+       "parse error: line 2: voltage source needs 'Vname n+ n- value'"},
+      {"V1 n1_m1_0_0 0 1.1\nV2 n1_m1_0_0 0 1.1V\n",
+       "parse error: line 2: parse error: unknown SPICE suffix 'v' in '1.1V'"},
+      {"V1 n1_m1_0_0 0 1.1\nV2 n1_m1_0_0 0 nan\n",
+       "parse error: line 2: parse error: bad SPICE value 'nan'"},
+      {"* header\n\n* more\nV1 n1_m1_0_0 0 1.1\nR1 n1_m1_0_0\n+ n1_m1_1_0\n\n"
+       "+ 0.5\nR2 n1_m1_1_0\n+ n1_m1_2_0\n* between\n+ bad\n",
+       "parse error: line 9: parse error: bad SPICE value 'bad'"},
+      {"* header\r\nV1 n1_m1_0_0 0 1.1\r\n+\r\n"
+       "R1 n1_m1_0_0 n1_m1_1_0 0.5 $ trailing\r\nR2 n1_m1_1_0 0 x\r\n",
+       "parse error: line 5: parse error: bad SPICE value 'x'"},
+      {"V1 n1_m1_0_0 0 1.1\nR1 n1_m1_0_0 n1_m1_1_0 1\nR2 n1_m1_1_0 0 -3",
+       "parse error: line 3: parse error: resistor R2 must be positive, got -3.000000"},
+      {"",
+       "parse error: netlist has no voltage source: the PG system is singular"},
+      {"* only comments\n\n",
+       "parse error: netlist has no voltage source: the PG system is singular"},
+      {"R1 n1_m1_0_0 n1_m1_1_0 1\nI1 n1_m1_1_0 0 1m\n",
+       "parse error: netlist has no voltage source: the PG system is singular"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.deck);
+    try {
+      parse_string(c.deck);
+      ADD_FAILURE() << "expected ParseError";
+    } catch (const ParseError& e) {
+      EXPECT_STREQ(e.what(), c.message);
+    }
+  }
+}
+
+TEST(Parser, CrlfAndMissingFinalNewlineParseIdentically) {
+  const std::string lf = kDeck;
+  std::string crlf;
+  for (char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  const std::string unterminated = lf.substr(0, lf.size() - 1);
+  ASSERT_EQ(unterminated.back(), 'd');
+  const Netlist reference = parse_string(lf);
+  for (const std::string& deck : {crlf, unterminated, crlf.substr(0, crlf.size() - 2)}) {
+    const Netlist again = parse_string(deck);
+    testing_support::expect_same_netlist(reference, again);
+    for (NodeId id = 0; id < reference.num_nodes(); ++id) {
+      EXPECT_EQ(again.node_name(id), reference.node_name(id));
+    }
+  }
+}
+
+TEST(Parser, StreamAndFileMatchString) {
+  const Netlist reference = parse_string(kDeck);
+  std::istringstream in(kDeck);
+  testing_support::expect_same_netlist(reference, parse(in));
+  const std::filesystem::path path = std::filesystem::temp_directory_path() /
+                                     ("irf_spice_" + std::to_string(::getpid()) + ".sp");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << kDeck;
+  }
+  testing_support::expect_same_netlist(reference, parse_file(path.string()));
+  std::filesystem::remove(path);
+}
+
+// A path that cannot be read is an irf::Error naming it. A directory opens
+// on Linux, so it fails at the read, not as a deck with no voltage source.
+TEST(Parser, UnreadablePathsNameThePath) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  const std::string missing = (dir / "irf_no_such_deck.sp").string();
+  for (const std::string& path : {dir.string(), missing}) {
+    try {
+      parse_file(path);
+      ADD_FAILURE() << "expected irf::Error for " << path;
+    } catch (const ParseError& e) {
+      ADD_FAILURE() << "read failure reported as a parse error: " << e.what();
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(Parser, RejectsUnknownElement) {
   EXPECT_THROW(parse_string("C1 n1_m1_0_0 0 1p\n"), ParseError);
   EXPECT_THROW(parse_string(".weird\n"), ParseError);
@@ -172,6 +361,7 @@ TEST(Parser, RejectsResistorToNowhere) {
 TEST(Writer, RoundTripPreservesElements) {
   Netlist net = parse_string(kDeck);
   Netlist again = parse_string(write_string(net));
+  testing_support::expect_same_netlist(net, again);
   EXPECT_EQ(again.num_nodes(), net.num_nodes());
   ASSERT_EQ(again.resistors().size(), net.resistors().size());
   for (std::size_t i = 0; i < net.resistors().size(); ++i) {
