@@ -42,9 +42,10 @@ BENCHMARK(BM_SpMV)->Arg(32)->Arg(64);
 
 void BM_SymmetricGaussSeidel(benchmark::State& state) {
   const pg::MnaSystem& sys = system_for(static_cast<int>(state.range(0)));
+  const linalg::SmootherDiagonal diag = linalg::SmootherDiagonal::of(sys.conductance);
   linalg::Vec x(static_cast<std::size_t>(sys.conductance.rows()), 0.0);
   for (auto _ : state) {
-    linalg::symmetric_gauss_seidel(sys.conductance, sys.rhs, x);
+    linalg::symmetric_gauss_seidel(sys.conductance, diag, sys.rhs, x);
     benchmark::DoNotOptimize(x.data());
   }
 }

@@ -11,70 +11,6 @@
 
 namespace irf::linalg {
 
-// Copies and moves transfer the CSR arrays only; derived caches (SELL
-// layout, diagonal index/values) rebuild lazily on the destination and are
-// dropped on a moved-from source, whose arrays no longer back them.
-
-CsrMatrix::CsrMatrix(const CsrMatrix& other)
-    : rows_(other.rows_),
-      cols_(other.cols_),
-      row_ptr_(other.row_ptr_),
-      col_idx_(other.col_idx_),
-      values_(other.values_) {}
-
-CsrMatrix& CsrMatrix::operator=(const CsrMatrix& other) {
-  if (this == &other) return *this;
-  rows_ = other.rows_;
-  cols_ = other.cols_;
-  row_ptr_ = other.row_ptr_;
-  col_idx_ = other.col_idx_;
-  values_ = other.values_;
-  std::scoped_lock lock(cache_mu_);
-  sell_.reset();
-  diag_idx_.clear();
-  diag_.clear();
-  diag_idx_built_ = false;
-  diag_vals_built_ = false;
-  return *this;
-}
-
-CsrMatrix::CsrMatrix(CsrMatrix&& other) noexcept
-    : rows_(other.rows_),
-      cols_(other.cols_),
-      row_ptr_(std::move(other.row_ptr_)),
-      col_idx_(std::move(other.col_idx_)),
-      values_(std::move(other.values_)) {
-  other.rows_ = 0;
-  other.cols_ = 0;
-  other.sell_.reset();
-  other.diag_idx_.clear();
-  other.diag_.clear();
-  other.diag_idx_built_ = false;
-  other.diag_vals_built_ = false;
-}
-
-CsrMatrix& CsrMatrix::operator=(CsrMatrix&& other) noexcept {
-  if (this == &other) return *this;
-  rows_ = other.rows_;
-  cols_ = other.cols_;
-  row_ptr_ = std::move(other.row_ptr_);
-  col_idx_ = std::move(other.col_idx_);
-  values_ = std::move(other.values_);
-  other.rows_ = 0;
-  other.cols_ = 0;
-  other.sell_.reset();
-  other.diag_idx_.clear();
-  other.diag_.clear();
-  other.diag_idx_built_ = false;
-  other.diag_vals_built_ = false;
-  sell_.reset();
-  diag_idx_.clear();
-  diag_.clear();
-  diag_idx_built_ = false;
-  diag_vals_built_ = false;
-  return *this;
-}
-
 CsrMatrix CsrMatrix::from_triplets(const TripletBuilder& builder) {
   CsrMatrix m;
   m.rows_ = builder.rows();
@@ -138,22 +74,7 @@ void CsrMatrix::multiply(const Vec& x, Vec& y) const {
     throw DimensionError("SpMV: x has " + std::to_string(x.size()) + " entries, need " +
                          std::to_string(cols_));
   }
-  if (simd::enabled() && rows_ > 0) {
-    // SELL path: every row is written exactly once (through the slice
-    // permutation), so no zero-fill pass is needed. Per-row accumulation
-    // order matches the reference loop below bit for bit.
-    const simd::SellView<double> view = sell().view();
-    y.resize(static_cast<std::size_t>(rows_));
-    const double* xp = x.data();
-    double* yp = y.data();
-    par::parallel_for(0, view.num_slices, par::kRowGrain / simd::kLanes,
-                      [&](std::int64_t lo, std::int64_t hi) {
-                        simd::sell_spmv(view, xp, yp, static_cast<int>(lo),
-                                        static_cast<int>(hi));
-                      });
-    return;
-  }
-  y.assign(static_cast<std::size_t>(rows_), 0.0);
+  y.resize(static_cast<std::size_t>(rows_));  // every row is written below
   par::parallel_for(0, rows_, par::kRowGrain, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t r = lo; r < hi; ++r) {
       double s = 0.0;
@@ -163,66 +84,9 @@ void CsrMatrix::multiply(const Vec& x, Vec& y) const {
   });
 }
 
-std::vector<double>& CsrMatrix::mutable_values() {
-  invalidate_value_caches();
-  return values_;
-}
-
-void CsrMatrix::invalidate_value_caches() const {
-  std::scoped_lock lock(cache_mu_);
-  sell_.reset();
-  diag_vals_built_ = false;
-}
-
-const simd::SellMatrix<double>& CsrMatrix::sell() const {
-  std::scoped_lock lock(cache_mu_);
-  if (!sell_) {
-    sell_ = std::make_unique<simd::SellMatrix<double>>(simd::build_sell<double>(
-        rows_, row_ptr_.data(), col_idx_.data(), values_.data()));
-  }
-  return *sell_;
-}
-
-const std::vector<int>& CsrMatrix::diag_index() const {
-  std::scoped_lock lock(cache_mu_);
-  if (!diag_idx_built_) {
-    diag_idx_.assign(static_cast<std::size_t>(rows_), -1);
-    for (int r = 0; r < rows_; ++r) {
-      for (int k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-        if (col_idx_[k] == r) {
-          diag_idx_[static_cast<std::size_t>(r)] = k;
-          break;
-        }
-      }
-    }
-    diag_idx_built_ = true;
-  }
-  return diag_idx_;
-}
-
-const Vec& CsrMatrix::cached_diagonal() const {
-  const std::vector<int>& idx = diag_index();
-  std::scoped_lock lock(cache_mu_);
-  if (!diag_vals_built_) {
-    diag_.assign(static_cast<std::size_t>(rows_), 0.0);
-    for (int r = 0; r < rows_; ++r) {
-      const int k = idx[static_cast<std::size_t>(r)];
-      if (k >= 0) diag_[static_cast<std::size_t>(r)] = values_[static_cast<std::size_t>(k)];
-    }
-    diag_vals_built_ = true;
-  }
-  return diag_;
-}
-
 std::size_t CsrMatrix::memory_bytes() const {
-  std::size_t bytes = row_ptr_.capacity() * sizeof(int) +
-                      col_idx_.capacity() * sizeof(int) +
-                      values_.capacity() * sizeof(double);
-  std::scoped_lock lock(cache_mu_);
-  if (sell_) bytes += sell_->memory_bytes();
-  bytes += diag_idx_.capacity() * sizeof(int);
-  bytes += diag_.capacity() * sizeof(double);
-  return bytes;
+  return row_ptr_.capacity() * sizeof(int) + col_idx_.capacity() * sizeof(int) +
+         values_.capacity() * sizeof(double);
 }
 
 Vec CsrMatrix::multiply(const Vec& x) const {

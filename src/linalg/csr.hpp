@@ -4,38 +4,21 @@
 /// Compressed sparse row matrix — the workhorse format for the MNA system
 /// matrix G and every AMG level operator.
 
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "linalg/coo.hpp"
 #include "linalg/vector_ops.hpp"
-#include "simd/sell.hpp"
 
 namespace irf::linalg {
 
-/// Immutable-after-construction CSR matrix with sorted column indices per row
-/// and duplicates summed.
-///
-/// The matrix lazily derives SIMD-friendly mirrors of itself on first use and
-/// caches them (mutex-guarded, so concurrent readers are safe):
-///  * a SELL-C-sigma sliced layout (simd::SellMatrix) that SpMV runs on when
-///    the irf::simd kernel layer is enabled,
-///  * the structural diagonal position per row plus the diagonal values,
-///    which the smoothers use instead of re-searching every sweep.
-/// `mutable_values()` is the only mutation door and invalidates the
-/// value-dependent caches at call time (the structural diagonal survives —
-/// that is what makes warm-start rebinds cheap). Copies and moves never
-/// carry caches; they rebuild on demand.
+/// CSR matrix with sorted column indices per row and duplicates summed. A
+/// plain value type: it holds the three CSR arrays and nothing derived from
+/// them, so copies, moves and mutable_values() edits need no bookkeeping.
+/// Owners that need derived per-row data (the smoothers' diagonal, see
+/// linalg/smoothers.hpp) build it themselves, once, where they know the
+/// values are frozen.
 class CsrMatrix {
  public:
-  CsrMatrix() = default;
-  ~CsrMatrix() = default;
-  CsrMatrix(const CsrMatrix& other);
-  CsrMatrix& operator=(const CsrMatrix& other);
-  CsrMatrix(CsrMatrix&& other) noexcept;
-  CsrMatrix& operator=(CsrMatrix&& other) noexcept;
-
   /// Build from a triplet accumulator; duplicate entries are summed and
   /// exact zeros produced by cancellation are kept (harmless, rare).
   static CsrMatrix from_triplets(const TripletBuilder& builder);
@@ -52,26 +35,14 @@ class CsrMatrix {
   const std::vector<double>& values() const { return values_; }
 
   /// Mutable access to the value payload (warm-start rebind swaps new
-  /// conductances under a frozen sparsity). Invalidates the SELL layout and
-  /// diagonal-value caches immediately — mutate through the returned
-  /// reference right away, do not hold it across other matrix calls.
-  std::vector<double>& mutable_values();
+  /// conductances under a frozen sparsity).
+  std::vector<double>& mutable_values() { return values_; }
 
-  /// y = A x. Runs on the cached SELL layout when irf::simd is enabled,
-  /// on the reference CSR row loop otherwise — bit-identical either way.
+  /// y = A x: the CSR row loop, rows split across the irf::par pool. Each
+  /// row sums its entries in column order, so the result is bit-identical
+  /// for any IRF_THREADS.
   void multiply(const Vec& x, Vec& y) const;
   Vec multiply(const Vec& x) const;
-
-  /// Cached SELL-C-sigma mirror (built on first call).
-  const simd::SellMatrix<double>& sell() const;
-
-  /// Cached position of the diagonal entry inside each row's value range
-  /// (-1 where structurally absent). Survives mutable_values() swaps.
-  const std::vector<int>& diag_index() const;
-
-  /// Cached diagonal values (0 where structurally absent). Rebuilt after
-  /// mutable_values().
-  const Vec& cached_diagonal() const;
 
   /// Entry lookup by binary search (test/debug helper, O(log nnz_row)).
   double at(int row, int col) const;
@@ -91,31 +62,16 @@ class CsrMatrix {
   /// A^T as a new matrix.
   CsrMatrix transposed() const;
 
-  /// Heap bytes retained by the index/value arrays AND any derived caches
-  /// (capacity, not size, so cache byte budgets see what the allocator
-  /// actually holds — including the SELL mirror once it exists).
+  /// Heap bytes retained by the index/value arrays (capacity, not size, so
+  /// cache byte budgets see what the allocator actually holds).
   std::size_t memory_bytes() const;
 
  private:
-  void invalidate_value_caches() const;
-
   int rows_ = 0;
   int cols_ = 0;
   std::vector<int> row_ptr_;   // size rows_+1
   std::vector<int> col_idx_;   // size nnz
   std::vector<double> values_; // size nnz
-
-  // Lazily-built derived layouts (see class comment). The mutex orders
-  // build/invalidate against concurrent const readers; parallel_for bodies
-  // never touch it because callers snapshot the cache before fanning out.
-  // csr.cache_mu_ is the LEAF of the global lock order (engine.hpp declares
-  // the full chain): no code may acquire any other lock while holding it.
-  mutable std::mutex cache_mu_;
-  mutable std::unique_ptr<simd::SellMatrix<double>> sell_;
-  mutable std::vector<int> diag_idx_;
-  mutable Vec diag_;
-  mutable bool diag_idx_built_ = false;
-  mutable bool diag_vals_built_ = false;
 };
 
 }  // namespace irf::linalg

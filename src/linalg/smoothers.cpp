@@ -9,24 +9,52 @@
 namespace irf::linalg {
 
 namespace {
-void check_sizes(const CsrMatrix& a, const Vec& b, const Vec& x) {
+void check_sizes(const CsrMatrix& a, const SmootherDiagonal& d, const Vec& b,
+                 const Vec& x) {
   if (a.rows() != a.cols()) throw DimensionError("smoother needs square matrix");
   if (static_cast<int>(b.size()) != a.rows() || static_cast<int>(x.size()) != a.rows()) {
     throw DimensionError("smoother vector size mismatch");
   }
+  if (static_cast<int>(d.index.size()) != a.rows() ||
+      static_cast<int>(d.values.size()) != a.rows()) {
+    throw DimensionError("smoother diagonal size mismatch");
+  }
 }
 }  // namespace
 
-void jacobi_sweep(const CsrMatrix& a, const Vec& b, Vec& x, double omega) {
-  check_sizes(a, b, x);
+SmootherDiagonal SmootherDiagonal::of(const CsrMatrix& a) {
+  const auto& rp = a.row_ptr();
+  const auto& ci = a.col_idx();
+  const auto& v = a.values();
+  SmootherDiagonal d;
+  d.index.assign(static_cast<std::size_t>(a.rows()), -1);
+  d.values.assign(static_cast<std::size_t>(a.rows()), 0.0);
+  for (int r = 0; r < a.rows(); ++r) {
+    for (int k = rp[r]; k < rp[r + 1]; ++k) {
+      if (ci[k] == r) {
+        d.index[static_cast<std::size_t>(r)] = k;
+        d.values[static_cast<std::size_t>(r)] = v[static_cast<std::size_t>(k)];
+        break;
+      }
+    }
+  }
+  return d;
+}
+
+std::size_t SmootherDiagonal::memory_bytes() const {
+  return index.capacity() * sizeof(int) + values.capacity() * sizeof(double);
+}
+
+void jacobi_sweep(const CsrMatrix& a, const SmootherDiagonal& d, const Vec& b, Vec& x,
+                  double omega) {
+  check_sizes(a, d, b, x);
   // Jacobi reads the old iterate everywhere, so rows update independently:
   // this is the parallel-safe relaxation (Gauss-Seidel below is sequential
-  // by construction). The residual SpMV parallelizes inside multiply(); the
-  // diagonal comes from the matrix's cache instead of a per-sweep search,
-  // with a zero scan up front so the update loop itself is branch-free and
+  // by construction). The residual SpMV parallelizes inside multiply(); a
+  // zero scan up front keeps the update loop itself branch-free, so it
   // vectorizes (simd::jacobi_update).
   Vec r = subtract(b, a.multiply(x));
-  const Vec& diag = a.cached_diagonal();
+  const Vec& diag = d.values;
   for (int i = 0; i < a.rows(); ++i) {
     if (diag[i] == 0.0) {
       throw NumericError("jacobi: zero diagonal at row " + std::to_string(i));
@@ -39,18 +67,19 @@ void jacobi_sweep(const CsrMatrix& a, const Vec& b, Vec& x, double omega) {
 }
 
 namespace {
-void gs_sweep(const CsrMatrix& a, const Vec& b, Vec& x, bool forward) {
-  check_sizes(a, b, x);
+void gs_sweep(const CsrMatrix& a, const SmootherDiagonal& d, const Vec& b, Vec& x,
+              bool forward) {
+  check_sizes(a, d, b, x);
   const auto& rp = a.row_ptr();
   const auto& ci = a.col_idx();
   const auto& v = a.values();
-  const auto& di = a.diag_index();
+  const auto& di = d.index;
   const int n = a.rows();
   for (int step = 0; step < n; ++step) {
     const int i = forward ? step : n - 1 - step;
-    // The cached diagonal position splits each row into two branch-free
-    // spans around the diagonal entry; the subtraction order (ascending
-    // column, diagonal skipped) is exactly the reference loop's.
+    // The diagonal position splits each row into two branch-free spans
+    // around the diagonal entry; the subtraction order (ascending column,
+    // diagonal skipped) is exactly the reference loop's.
     const int dk = di[i];
     if (dk < 0 || v[dk] == 0.0) {
       throw NumericError("gauss-seidel: zero diagonal at row " + std::to_string(i));
@@ -63,17 +92,20 @@ void gs_sweep(const CsrMatrix& a, const Vec& b, Vec& x, bool forward) {
 }
 }  // namespace
 
-void gauss_seidel_forward(const CsrMatrix& a, const Vec& b, Vec& x) {
-  gs_sweep(a, b, x, /*forward=*/true);
+void gauss_seidel_forward(const CsrMatrix& a, const SmootherDiagonal& d, const Vec& b,
+                          Vec& x) {
+  gs_sweep(a, d, b, x, /*forward=*/true);
 }
 
-void gauss_seidel_backward(const CsrMatrix& a, const Vec& b, Vec& x) {
-  gs_sweep(a, b, x, /*forward=*/false);
+void gauss_seidel_backward(const CsrMatrix& a, const SmootherDiagonal& d, const Vec& b,
+                           Vec& x) {
+  gs_sweep(a, d, b, x, /*forward=*/false);
 }
 
-void symmetric_gauss_seidel(const CsrMatrix& a, const Vec& b, Vec& x) {
-  gs_sweep(a, b, x, /*forward=*/true);
-  gs_sweep(a, b, x, /*forward=*/false);
+void symmetric_gauss_seidel(const CsrMatrix& a, const SmootherDiagonal& d,
+                            const Vec& b, Vec& x) {
+  gs_sweep(a, d, b, x, /*forward=*/true);
+  gs_sweep(a, d, b, x, /*forward=*/false);
 }
 
 }  // namespace irf::linalg

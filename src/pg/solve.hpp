@@ -36,13 +36,7 @@ class PgSolver {
   PgSolution solve_golden(double rel_tolerance = 1e-10) const;
 
   /// Run exactly `iterations` AMG-PCG iterations (rough solution mode).
-  /// `precision` selects the preconditioner arithmetic: rough maps only feed
-  /// the ML refiner, so they may ride the fp32 mirror
-  /// (solver::PrecisionMode::kMixed) while golden and warm solves stay on
-  /// the bit-identical fp64 path.
-  PgSolution solve_rough(
-      int iterations,
-      solver::PrecisionMode precision = solver::PrecisionMode::kFp64) const;
+  PgSolution solve_rough(int iterations) const;
 
   /// Warm-started solve: start PCG from a previous solution in NODE space
   /// (a PgSolution::node_voltage of a topology-identical design) and run to

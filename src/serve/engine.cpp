@@ -559,7 +559,7 @@ std::shared_ptr<Engine::CacheEntry> Engine::lookup_or_build(
   const int image_size =
       pipeline_ ? pipeline_->config().image_size : options_.fallback_image_size;
   const Clock::time_point solve_start = Clock::now();
-  entry->rough = entry->solver->solve_rough(iterations, options_.precision_mode);
+  entry->rough = entry->solver->solve_rough(iterations);
   result.stages.solve_seconds = seconds_between(solve_start, Clock::now());
   const pg::PgSolution& rough = entry->rough;
 

@@ -227,11 +227,10 @@ class Engine {
   // Global lock order through the serve path (verified by irf_analyze, see
   // docs/ANALYSIS.md). submit_impl counts the submission under cache_mutex_
   // while still holding the queue mutex (so completed <= submitted holds at
-  // every observation point), and cache_mutex_ is held across CacheEntry
-  // footprint accounting, which reaches the solver's fp32-mirror lock and
-  // the matrix's SELL-cache lock (csr.cache_mu_ is the global leaf). Under
-  // a Router, router.mutex_ sits above engine.mutex_ (see router.cpp).
-  // irf-lock-order: engine.mutex_ < engine.cache_mutex_ < amg_pcg.fp32_mu_ < csr.cache_mu_
+  // every observation point). CacheEntry footprint accounting under
+  // cache_mutex_ takes no further lock. Under a Router, router.mutex_ sits
+  // above engine.mutex_ (see router.cpp).
+  // irf-lock-order: engine.mutex_ < engine.cache_mutex_
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable space_cv_;

@@ -114,58 +114,23 @@ const KernelTable& table() {
 // Public wrappers: one indirect call per range, never per element.
 
 double dot(const double* a, const double* b, std::int64_t n) {
-  return detail::table().dot_f64(a, b, n);
+  return detail::table().dot(a, b, n);
 }
 void axpy(double alpha, const double* x, double* y, std::int64_t n) {
-  detail::table().axpy_f64(alpha, x, y, n);
+  detail::table().axpy(alpha, x, y, n);
 }
 void xpby(const double* x, double beta, double* y, std::int64_t n) {
-  detail::table().xpby_f64(x, beta, y, n);
+  detail::table().xpby(x, beta, y, n);
 }
 void scale(double* a, double alpha, std::int64_t n) {
-  detail::table().scale_f64(a, alpha, n);
+  detail::table().scale(a, alpha, n);
 }
 void subtract(const double* a, const double* b, double* out, std::int64_t n) {
-  detail::table().subtract_f64(a, b, out, n);
+  detail::table().subtract(a, b, out, n);
 }
 void jacobi_update(const double* r, const double* diag, double omega, double* x,
                    std::int64_t n) {
-  detail::table().jacobi_f64(r, diag, omega, x, n);
-}
-void sell_spmv(const SellView<double>& m, const double* x, double* y,
-               int slice_begin, int slice_end) {
-  detail::table().spmv_f64(m, x, y, slice_begin, slice_end);
-}
-
-float dot(const float* a, const float* b, std::int64_t n) {
-  return detail::table().dot_f32(a, b, n);
-}
-void axpy(float alpha, const float* x, float* y, std::int64_t n) {
-  detail::table().axpy_f32(alpha, x, y, n);
-}
-void xpby(const float* x, float beta, float* y, std::int64_t n) {
-  detail::table().xpby_f32(x, beta, y, n);
-}
-void scale(float* a, float alpha, std::int64_t n) {
-  detail::table().scale_f32(a, alpha, n);
-}
-void subtract(const float* a, const float* b, float* out, std::int64_t n) {
-  detail::table().subtract_f32(a, b, out, n);
-}
-void jacobi_update(const float* r, const float* diag, float omega, float* x,
-                   std::int64_t n) {
-  detail::table().jacobi_f32(r, diag, omega, x, n);
-}
-void sell_spmv(const SellView<float>& m, const float* x, float* y,
-               int slice_begin, int slice_end) {
-  detail::table().spmv_f32(m, x, y, slice_begin, slice_end);
-}
-
-void widen(const float* in, double* out, std::int64_t n) {
-  detail::table().widen_f32(in, out, n);
-}
-void narrow(const double* in, float* out, std::int64_t n) {
-  detail::table().narrow_f64(in, out, n);
+  detail::table().jacobi_update(r, diag, omega, x, n);
 }
 
 }  // namespace irf::simd

@@ -14,25 +14,25 @@
 ///    translation units. The active tier is picked once per process from
 ///    CPUID, so a single binary runs everywhere and still uses the widest
 ///    vectors the machine has.
-///  * `IRF_SIMD=0` (env) or `set_enabled(false)` forces the baseline tier
-///    and the reference CSR SpMV layout — the scalar fallback path.
-///  * Bit-identity: the fp64 kernels fix their floating-point accumulation
-///    pattern in code (per-row column-order sums for SpMV, an 8-lane blocked
-///    pattern for dot), and every tier is compiled with -ffp-contract=off,
-///    so results are bit-identical across tiers AND with the fallback path.
-///    tests/test_simd.cpp pins this; the solver suite re-runs under
-///    IRF_SIMD=0 to pin it end to end.
-///  * fp32 kernels back the mixed-precision AMG preconditioner
-///    (solver/precision.hpp); the fp64 outer iteration never uses them.
+///  * `IRF_SIMD=0` (env) or `set_enabled(false)` forces the baseline tier —
+///    the scalar fallback path.
+///  * Bit-identity: the kernels fix their floating-point accumulation
+///    pattern in code (an 8-lane blocked pattern for dot), and every tier is
+///    compiled with -ffp-contract=off, so results are bit-identical across
+///    tiers AND with the fallback path. tests/test_simd.cpp pins this; the
+///    solver suite re-runs under IRF_SIMD=0 to pin it end to end.
+///
+/// Sparse matrix-vector products are not kernels of this layer: they run
+/// the CSR row loop in linalg::CsrMatrix::multiply.
 
 #include <cstddef>
 #include <cstdint>
 
 namespace irf::simd {
 
-/// Lane-block width shared by the blocked reductions and the sliced SpMV
-/// layout (8 doubles = one AVX-512 register; narrower ISAs split the block
-/// across registers without changing the accumulation pattern).
+/// Lane-block width of the blocked reductions (8 doubles = one AVX-512
+/// register; narrower ISAs split the block across registers without changing
+/// the accumulation pattern).
 inline constexpr int kLanes = 8;
 
 /// Instruction-set tier the dispatcher resolved to.
@@ -52,25 +52,6 @@ const char* tier_name(IsaTier tier);
 /// runtime so one test process can compare both paths.
 bool enabled();
 void set_enabled(bool on);
-
-/// Raw view of a SELL-C-sigma sliced matrix (see sell.hpp for the owning
-/// builder). Rows are permuted by descending length inside sigma-sized
-/// windows and grouped into slices of kLanes rows; each slice stores its
-/// entries column-major (lane-interleaved), padded to the slice's max row
-/// length. Kernels only read padding inside the vectorized min-width loop,
-/// and only on lanes whose result is never stored.
-template <typename T>
-struct SellView {
-  int rows = 0;
-  int num_slices = 0;
-  const std::int64_t* slice_off = nullptr;  ///< per-slice storage offset
-  const int* slice_width = nullptr;         ///< max row length in slice
-  const int* slice_min = nullptr;           ///< min row length over active lanes
-  const int* row_len = nullptr;             ///< per sorted position
-  const int* perm = nullptr;                ///< sorted position -> original row
-  const int* cols = nullptr;                ///< padded, lane-interleaved
-  const T* vals = nullptr;                  ///< padded, lane-interleaved
-};
 
 // --- fp64 range kernels (dispatched to the active tier) -------------------
 
@@ -95,49 +76,17 @@ void subtract(const double* a, const double* b, double* out, std::int64_t n);
 void jacobi_update(const double* r, const double* diag, double omega, double* x,
                    std::int64_t n);
 
-/// y[perm[r]] = sum_k vals[r][k] * x[cols[r][k]] for every row of slices
-/// [slice_begin, slice_end). Per-row accumulation runs in column order —
-/// bit-identical to the reference CSR row loop.
-void sell_spmv(const SellView<double>& m, const double* x, double* y,
-               int slice_begin, int slice_end);
-
-// --- fp32 range kernels (mixed-precision preconditioner path) -------------
-
-float dot(const float* a, const float* b, std::int64_t n);
-void axpy(float alpha, const float* x, float* y, std::int64_t n);
-void xpby(const float* x, float beta, float* y, std::int64_t n);
-void scale(float* a, float alpha, std::int64_t n);
-void subtract(const float* a, const float* b, float* out, std::int64_t n);
-void jacobi_update(const float* r, const float* diag, float omega, float* x,
-                   std::int64_t n);
-void sell_spmv(const SellView<float>& m, const float* x, float* y,
-               int slice_begin, int slice_end);
-
-/// out[i] = double(in[i]) / out[i] = float(in[i]) — the precision boundary.
-void widen(const float* in, double* out, std::int64_t n);
-void narrow(const double* in, float* out, std::int64_t n);
-
 namespace detail {
 
 /// Per-tier function table; kernels.inc instantiates one per tier TU.
 struct KernelTable {
-  double (*dot_f64)(const double*, const double*, std::int64_t) = nullptr;
-  void (*axpy_f64)(double, const double*, double*, std::int64_t) = nullptr;
-  void (*xpby_f64)(const double*, double, double*, std::int64_t) = nullptr;
-  void (*scale_f64)(double*, double, std::int64_t) = nullptr;
-  void (*subtract_f64)(const double*, const double*, double*, std::int64_t) = nullptr;
-  void (*jacobi_f64)(const double*, const double*, double, double*, std::int64_t) =
+  double (*dot)(const double*, const double*, std::int64_t) = nullptr;
+  void (*axpy)(double, const double*, double*, std::int64_t) = nullptr;
+  void (*xpby)(const double*, double, double*, std::int64_t) = nullptr;
+  void (*scale)(double*, double, std::int64_t) = nullptr;
+  void (*subtract)(const double*, const double*, double*, std::int64_t) = nullptr;
+  void (*jacobi_update)(const double*, const double*, double, double*, std::int64_t) =
       nullptr;
-  void (*spmv_f64)(const SellView<double>&, const double*, double*, int, int) = nullptr;
-  float (*dot_f32)(const float*, const float*, std::int64_t) = nullptr;
-  void (*axpy_f32)(float, const float*, float*, std::int64_t) = nullptr;
-  void (*xpby_f32)(const float*, float, float*, std::int64_t) = nullptr;
-  void (*scale_f32)(float*, float, std::int64_t) = nullptr;
-  void (*subtract_f32)(const float*, const float*, float*, std::int64_t) = nullptr;
-  void (*jacobi_f32)(const float*, const float*, float, float*, std::int64_t) = nullptr;
-  void (*spmv_f32)(const SellView<float>&, const float*, float*, int, int) = nullptr;
-  void (*widen_f32)(const float*, double*, std::int64_t) = nullptr;
-  void (*narrow_f64)(const double*, float*, std::int64_t) = nullptr;
 };
 
 const KernelTable& baseline_table();

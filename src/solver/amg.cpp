@@ -18,7 +18,7 @@ AmgHierarchy::AmgHierarchy(const CsrMatrix& a, AmgOptions options)
   if (a.rows() != a.cols()) throw DimensionError("AMG needs a square matrix");
   if (a.rows() == 0) throw DimensionError("AMG needs a non-empty matrix");
 
-  levels_.push_back(AmgLevel{a, std::nullopt});
+  levels_.push_back(AmgLevel{a, std::nullopt, {}});
   while (static_cast<int>(levels_.size()) < options_.max_levels &&
          levels_.back().matrix.rows() > options_.coarsest_size) {
     const CsrMatrix& fine = levels_.back().matrix;
@@ -28,8 +28,9 @@ AmgHierarchy::AmgHierarchy(const CsrMatrix& a, AmgOptions options)
     if (agg.num_aggregates >= fine.rows()) break;  // stalled: stop coarsening
     CsrMatrix coarse = galerkin_coarse_matrix(fine, agg);
     levels_.back().to_coarse = std::move(agg);
-    levels_.push_back(AmgLevel{std::move(coarse), std::nullopt});
+    levels_.push_back(AmgLevel{std::move(coarse), std::nullopt, {}});
   }
+  for (AmgLevel& l : levels_) l.diagonal = linalg::SmootherDiagonal::of(l.matrix);
   if (check::enabled()) {
     // Smoothers divide by the diagonal on every level, so each operator
     // must carry an explicit, finite diagonal on top of the structural
@@ -65,7 +66,7 @@ double AmgHierarchy::operator_complexity() const {
 std::size_t AmgHierarchy::memory_bytes() const {
   std::size_t bytes = 0;
   for (const AmgLevel& l : levels_) {
-    bytes += l.matrix.memory_bytes();
+    bytes += l.matrix.memory_bytes() + l.diagonal.memory_bytes();
     if (l.to_coarse) bytes += l.to_coarse->aggregate_of.capacity() * sizeof(int);
   }
   if (coarse_solver_) {
@@ -82,12 +83,12 @@ void AmgHierarchy::apply(const Vec& r, Vec& z) {
   cycle(0, r, z);
 }
 
-void AmgHierarchy::smooth(const CsrMatrix& a, const Vec& r, Vec& z, int sweeps) {
+void AmgHierarchy::smooth(const AmgLevel& level, const Vec& r, Vec& z, int sweeps) {
   for (int s = 0; s < sweeps; ++s) {
     if (options_.smoother == SmootherType::kJacobi) {
-      linalg::jacobi_sweep(a, r, z, options_.jacobi_omega);
+      linalg::jacobi_sweep(level.matrix, level.diagonal, r, z, options_.jacobi_omega);
     } else {
-      linalg::symmetric_gauss_seidel(a, r, z);
+      linalg::symmetric_gauss_seidel(level.matrix, level.diagonal, r, z);
     }
   }
 }
@@ -99,7 +100,7 @@ void AmgHierarchy::cycle(int level, const Vec& r, Vec& z) {
     return;
   }
   z.assign(r.size(), 0.0);
-  smooth(a, r, z, options_.pre_smooth);
+  smooth(levels_[level], r, z, options_.pre_smooth);
 
   // Restrict the residual and recurse.
   Vec residual = linalg::subtract(r, a.multiply(z));
@@ -110,7 +111,7 @@ void AmgHierarchy::cycle(int level, const Vec& r, Vec& z) {
   coarse_correction(level + 1, rc, ec);
   prolongate_add(agg, ec, z);
 
-  smooth(a, r, z, options_.post_smooth);
+  smooth(levels_[level], r, z, options_.post_smooth);
 }
 
 void AmgHierarchy::coarse_correction(int coarse_level, const Vec& rc, Vec& ec) {

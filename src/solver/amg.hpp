@@ -11,6 +11,7 @@
 
 #include "linalg/csr.hpp"
 #include "linalg/dense.hpp"
+#include "linalg/smoothers.hpp"
 #include "solver/aggregation.hpp"
 #include "solver/preconditioner.hpp"
 
@@ -50,6 +51,10 @@ struct AmgLevel {
   /// Aggregation mapping *this* level to the next coarser one (absent on the
   /// coarsest level).
   std::optional<Aggregation> to_coarse;
+  /// The smoothers' view of `matrix`'s diagonal, built once at setup: level
+  /// operators are frozen for the hierarchy's lifetime (a rebind swaps only
+  /// the outer PCG operator's values, see AmgPcgSolver).
+  linalg::SmootherDiagonal diagonal;
 };
 
 /// The AMG hierarchy / K-cycle preconditioner.
@@ -62,17 +67,16 @@ class AmgHierarchy final : public Preconditioner {
   const AmgLevel& level(int i) const { return levels_.at(static_cast<std::size_t>(i)); }
   const AmgOptions& options() const { return options_; }
 
-  /// Dense Cholesky factorization of the coarsest operator. Shared with the
-  /// fp32 mirror (solver/precision.hpp), which widens through fp64 for the
-  /// direct solve.
+  /// Dense Cholesky factorization of the coarsest operator.
   const linalg::CholeskyFactor& coarse_solver() const { return *coarse_solver_; }
 
   /// Grid complexity: sum of unknowns across levels / fine unknowns.
   double grid_complexity() const;
   /// Operator complexity: sum of nnz across levels / fine nnz.
   double operator_complexity() const;
-  /// Heap bytes retained by all level operators, aggregation maps, and the
-  /// coarse Cholesky factor — what a cache keeping this hierarchy alive pays.
+  /// Heap bytes retained by all level operators, their smoother diagonals,
+  /// aggregation maps, and the coarse Cholesky factor — what a cache keeping
+  /// this hierarchy alive pays.
   std::size_t memory_bytes() const;
 
   /// Apply one cycle as the preconditioner: z ~= A^{-1} r.
@@ -82,8 +86,7 @@ class AmgHierarchy final : public Preconditioner {
   bool is_variable() const override { return options_.cycle == CycleType::kK; }
 
  private:
-  void smooth(const linalg::CsrMatrix& a, const linalg::Vec& r, linalg::Vec& z,
-              int sweeps);
+  void smooth(const AmgLevel& level, const linalg::Vec& r, linalg::Vec& z, int sweeps);
   void cycle(int level, const linalg::Vec& r, linalg::Vec& z);
   void coarse_correction(int coarse_level, const linalg::Vec& rc, linalg::Vec& ec);
   /// Two flexible-CG steps on the coarse problem, preconditioned by the

@@ -8,12 +8,10 @@
 /// it (few iterations for rough features, many for golden labels).
 
 #include <memory>
-#include <mutex>
 
 #include "linalg/csr.hpp"
 #include "solver/amg.hpp"
 #include "solver/cg.hpp"
-#include "solver/precision.hpp"
 
 namespace irf::solver {
 
@@ -28,12 +26,9 @@ class AmgPcgSolver {
                     const linalg::Vec* x0 = nullptr) const;
 
   /// Convenience: run exactly `iterations` PCG iterations (no tolerance
-  /// stop) — the "rough solution" mode of Section III-B. `precision` selects
-  /// the preconditioner arithmetic: rough maps feed the ML refiner, so they
-  /// are the natural consumers of PrecisionMode::kMixed.
+  /// stop) — the "rough solution" mode of Section III-B.
   SolveResult solve_rough(const linalg::Vec& b, int iterations,
-                          const linalg::Vec* x0 = nullptr,
-                          PrecisionMode precision = PrecisionMode::kFp64) const;
+                          const linalg::Vec* x0 = nullptr) const;
 
   /// Convenience: solve to a tight tolerance for golden labels.
   SolveResult solve_golden(const linalg::Vec& b, double rel_tolerance = 1e-10,
@@ -56,28 +51,13 @@ class AmgPcgSolver {
   const AmgHierarchy& hierarchy() const { return *hierarchy_; }
   double setup_seconds() const { return setup_seconds_; }
 
-  /// True once a mixed-precision solve has materialized the fp32 mirror
-  /// (test/introspection hook; also what memory_bytes() keys off).
-  bool has_fp32_mirror() const;
-
-  /// Heap bytes retained by the setup matrix (including its SELL cache),
-  /// the AMG hierarchy, and the fp32 preconditioner mirror if built.
+  /// Heap bytes retained by the setup matrix and the AMG hierarchy.
   std::size_t memory_bytes() const;
 
  private:
-  /// Lazily builds (and caches) the fp32 hierarchy mirror.
-  Fp32Hierarchy& fp32_preconditioner() const;
-
   linalg::CsrMatrix matrix_;
   std::unique_ptr<AmgHierarchy> hierarchy_;
   double setup_seconds_ = 0.0;
-  // The fp32 mirror is derived state: built on the first kMixed solve,
-  // dropped by update_matrix_values (rebind), rebuilt on demand. Building the
-  // mirror under fp32_mu_ reads the matrix's cached diagonal/SELL layout, so
-  // the matrix cache lock nests inside this one — never the other way round.
-  // irf-lock-order: amg_pcg.fp32_mu_ < csr.cache_mu_
-  mutable std::mutex fp32_mu_;
-  mutable std::unique_ptr<Fp32Hierarchy> fp32_;
 };
 
 }  // namespace irf::solver

@@ -120,18 +120,13 @@ SolveResult preconditioned_cg(const linalg::CsrMatrix& a, const Vec& b,
   IRF_CHECK_FINITE(result.x, "pcg solution");
   obs::count("solver.pcg.solves");
   obs::count("solver.pcg.iterations", static_cast<std::uint64_t>(k));
-  if (options.precision == PrecisionMode::kMixed) obs::count("solver.pcg.mixed_solves");
   obs::set_gauge("solver.pcg.last_relative_residual", result.final_relative_residual);
   obs::record_histogram("solver.pcg.iterations_per_solve", static_cast<double>(k));
   solve_span.add_arg("iterations", k);
   solve_span.add_arg("converged", result.converged ? 1.0 : 0.0);
   solve_span.add_arg("final_relative_residual", result.final_relative_residual);
-  // Span args are numeric: precision_mode is the PrecisionMode enum value
-  // (0 = fp64, 1 = mixed); kernel_layout is 1 when SpMV ran on the SELL
-  // sliced layout (irf::simd enabled), 0 on the reference CSR loop; isa_tier
-  // is the dispatched instruction-set tier (0 baseline / 1 avx2 / 2 avx512).
-  solve_span.add_arg("precision_mode", static_cast<double>(options.precision));
-  solve_span.add_arg("kernel_layout", simd::enabled() ? 1.0 : 0.0);
+  // isa_tier is the dispatched instruction-set tier of the range kernels
+  // (0 baseline / 1 avx2 / 2 avx512; span args are numeric).
   solve_span.add_arg("isa_tier", static_cast<double>(simd::active_tier()));
   // Optional convergence curve (IRF_RESIDUAL_CURVES=1): at most 16 sampled
   // relative residuals as args keyed r<iteration>, plus the sampling stride,

@@ -27,13 +27,13 @@ void JacobiPreconditioner::apply(const linalg::Vec& r, linalg::Vec& z) {
 }
 
 SgsPreconditioner::SgsPreconditioner(const linalg::CsrMatrix& a, int sweeps)
-    : a_(a), sweeps_(sweeps) {
+    : a_(a), diag_(linalg::SmootherDiagonal::of(a)), sweeps_(sweeps) {
   if (sweeps < 1) throw ConfigError("SGS preconditioner needs >= 1 sweep");
 }
 
 void SgsPreconditioner::apply(const linalg::Vec& r, linalg::Vec& z) {
   z.assign(r.size(), 0.0);
-  for (int s = 0; s < sweeps_; ++s) linalg::symmetric_gauss_seidel(a_, r, z);
+  for (int s = 0; s < sweeps_; ++s) linalg::symmetric_gauss_seidel(a_, diag_, r, z);
 }
 
 }  // namespace irf::solver

@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "linalg/csr.hpp"
+#include "linalg/smoothers.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace irf::solver {
@@ -43,6 +44,8 @@ class JacobiPreconditioner final : public Preconditioner {
 };
 
 /// M^{-1} = k sweeps of symmetric Gauss-Seidel from a zero initial guess.
+/// Borrows `a` (which must outlive this object and keep its values) and
+/// builds the smoothers' diagonal of it once, at construction.
 class SgsPreconditioner final : public Preconditioner {
  public:
   SgsPreconditioner(const linalg::CsrMatrix& a, int sweeps = 1);
@@ -50,6 +53,7 @@ class SgsPreconditioner final : public Preconditioner {
 
  private:
   const linalg::CsrMatrix& a_;
+  linalg::SmootherDiagonal diag_;
   int sweeps_;
 };
 

@@ -9,23 +9,6 @@
 
 namespace irf::solver {
 
-/// Arithmetic mode for a preconditioned solve.
-///
-/// kFp64 is the reference: every operation in fp64, bit-identical across
-/// IRF_SIMD on/off and any IRF_THREADS — the mode golden labels, warm-start
-/// seeding and the 1e-8 warm-vs-cold contract run on. kMixed keeps the outer
-/// PCG iteration (residuals, updates, convergence checks) in fp64 but applies
-/// the preconditioner through an fp32 mirror of the AMG hierarchy
-/// (solver/precision.hpp) — iterative refinement that trades a few extra
-/// outer iterations for a much cheaper cycle. Final accuracy is set by the
-/// fp64 outer tolerance either way.
-enum class PrecisionMode { kFp64 = 0, kMixed = 1 };
-
-/// Stable label for logs/JSON ("fp64" / "mixed").
-inline const char* precision_mode_name(PrecisionMode mode) {
-  return mode == PrecisionMode::kMixed ? "mixed" : "fp64";
-}
-
 /// Iteration control for CG/PCG/AMG-PCG.
 struct SolveOptions {
   int max_iterations = 1000;
@@ -35,9 +18,6 @@ struct SolveOptions {
   double abs_tolerance = 0.0;
   /// Record ||r|| after every iteration (cheap; always useful for Fig. 7).
   bool track_residual_history = true;
-  /// Preconditioner arithmetic (see PrecisionMode). Ignored by solvers that
-  /// have no reduced-precision path (plain CG, incomplete Cholesky).
-  PrecisionMode precision = PrecisionMode::kFp64;
 };
 
 /// Outcome of an iterative solve. `x` is valid even when not converged —

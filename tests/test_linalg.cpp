@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -11,6 +14,7 @@
 #include "linalg/dense.hpp"
 #include "linalg/smoothers.hpp"
 #include "linalg/vector_ops.hpp"
+#include "simd/simd.hpp"
 
 namespace irf::linalg {
 namespace {
@@ -24,6 +28,49 @@ CsrMatrix laplacian_1d(int n) {
     if (i + 1 < n) b.add(i, i + 1, -1.0);
   }
   return CsrMatrix::from_triplets(b);
+}
+
+/// Random square matrix with irregular row lengths: a banded skeleton plus
+/// scattered long-range entries, so the parallel row chunks of multiply()
+/// see uneven rows.
+CsrMatrix random_sparse(int n, Rng& rng) {
+  TripletBuilder b(n, n);
+  for (int i = 0; i < n; ++i) {
+    b.add(i, i, 4.0 + std::abs(rng.normal()));
+    for (int d = 1; d <= 2; ++d) {
+      if (i + d < n && rng.uniform() < 0.7) b.add(i, i + d, -rng.uniform());
+      if (i - d >= 0 && rng.uniform() < 0.7) b.add(i, i - d, -rng.uniform());
+    }
+    if (rng.uniform() < 0.15) {
+      const int j = static_cast<int>(rng.uniform() * n) % n;
+      b.add(i, j, 0.1 * rng.normal());
+    }
+  }
+  return CsrMatrix::from_triplets(b);
+}
+
+/// Sequential SpMV in CSR column order — the rounding multiply() must hit.
+Vec reference_multiply(const CsrMatrix& a, const Vec& x) {
+  Vec y(static_cast<std::size_t>(a.rows()));
+  for (int i = 0; i < a.rows(); ++i) {
+    double s = 0.0;
+    for (int k = a.row_ptr()[i]; k < a.row_ptr()[i + 1]; ++k) {
+      s += a.values()[k] * x[a.col_idx()[k]];
+    }
+    y[i] = s;
+  }
+  return y;
+}
+
+bool bit_equal(const Vec& a, const Vec& b) {
+  if (a.size() != b.size()) return false;
+  return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+Vec random_vec(std::size_t n, Rng& rng) {
+  Vec x(n);
+  for (double& v : x) v = rng.normal();
+  return x;
 }
 
 TEST(VectorOps, DotAndNorm) {
@@ -127,6 +174,78 @@ TEST(CsrMatrix, SpMvMatchesDense) {
   for (int i = 0; i < n; ++i) EXPECT_NEAR(ys[i], yd[i], 1e-12);
 }
 
+TEST(CsrMatrix, MultiplyMatchesReferenceAcrossShapes) {
+  Rng rng(29);
+  for (int n : {1, 5, 8, 9, 17, 64, 200, 1041, 4099}) {
+    const CsrMatrix a = random_sparse(n, rng);
+    const Vec x = random_vec(static_cast<std::size_t>(n), rng);
+    Vec y(3, 7.0);  // stale contents and size must not leak into the result
+    a.multiply(x, y);
+    EXPECT_TRUE(bit_equal(y, reference_multiply(a, x))) << "n=" << n;
+  }
+}
+
+TEST(Simd, MultiplyBitIdenticalWithGateOnAndOff) {
+  // SpMV has no irf::simd kernel; the gate must leave it untouched.
+  const bool was = simd::enabled();
+  Rng rng(43);
+  const CsrMatrix a = random_sparse(513, rng);
+  Vec x(static_cast<std::size_t>(a.rows()));
+  for (double& v : x) v = rng.normal();
+
+  Vec y_off, y_on;
+  simd::set_enabled(false);
+  a.multiply(x, y_off);
+  simd::set_enabled(true);
+  a.multiply(x, y_on);
+  simd::set_enabled(was);
+  EXPECT_TRUE(bit_equal(y_off, y_on));
+  EXPECT_TRUE(bit_equal(y_off, reference_multiply(a, x)));
+}
+
+TEST(CsrMatrix, MultiplySeesMutableValuesEdits) {
+  Rng rng(67);
+  CsrMatrix a = random_sparse(300, rng);
+  const Vec x = random_vec(static_cast<std::size_t>(a.rows()), rng);
+  const Vec y_before = a.multiply(x);
+  for (double& v : a.mutable_values()) v *= 2.0;
+  const Vec y_after = a.multiply(x);
+  EXPECT_TRUE(bit_equal(y_after, reference_multiply(a, x)));
+  for (std::size_t i = 0; i < y_after.size(); ++i) {
+    EXPECT_EQ(y_after[i], 2.0 * y_before[i]);
+  }
+}
+
+// CsrMatrix is a plain value type: the compiler-generated copy and move
+// carry the three CSR arrays and nothing else.
+static_assert(std::is_nothrow_move_constructible_v<CsrMatrix>);
+static_assert(std::is_nothrow_move_assignable_v<CsrMatrix>);
+
+TEST(CsrMatrix, CopyIsIndependentAfterMutableValues) {
+  Rng rng(73);
+  CsrMatrix a = random_sparse(200, rng);
+  const Vec x = random_vec(static_cast<std::size_t>(a.rows()), rng);
+  const std::vector<double> original = a.values();
+  const Vec y = a.multiply(x);
+
+  CsrMatrix copy = a;
+  for (double& v : copy.mutable_values()) v *= 3.0;
+  EXPECT_EQ(a.values(), original);
+  EXPECT_TRUE(bit_equal(a.multiply(x), y));
+  EXPECT_TRUE(bit_equal(copy.multiply(x), reference_multiply(copy, x)));
+
+  for (double& v : a.mutable_values()) v = -v;
+  for (std::size_t k = 0; k < original.size(); ++k) {
+    EXPECT_EQ(copy.values()[k], 3.0 * original[k]);
+  }
+
+  CsrMatrix assigned;
+  assigned = copy;
+  CsrMatrix moved = std::move(copy);
+  EXPECT_EQ(moved.values(), assigned.values());
+  EXPECT_TRUE(bit_equal(moved.multiply(x), assigned.multiply(x)));
+}
+
 TEST(CsrMatrix, StampConductanceSymmetric) {
   TripletBuilder b(3, 3);
   b.stamp_conductance(0, 1, 2.0);
@@ -198,7 +317,8 @@ TEST(Smoothers, JacobiReducesResidual) {
   Vec b(20, 1.0);
   Vec x(20, 0.0);
   double r0 = norm2(subtract(b, a.multiply(x)));
-  for (int s = 0; s < 10; ++s) jacobi_sweep(a, b, x);
+  const SmootherDiagonal d = SmootherDiagonal::of(a);
+  for (int s = 0; s < 10; ++s) jacobi_sweep(a, d, b, x);
   double r1 = norm2(subtract(b, a.multiply(x)));
   EXPECT_LT(r1, r0);
 }
@@ -209,7 +329,8 @@ TEST(Smoothers, GaussSeidelConvergesOnSmallSystem) {
   Vec b(8, 1.0);
   Vec x_exact = chol.solve(b);
   Vec x(8, 0.0);
-  for (int s = 0; s < 300; ++s) gauss_seidel_forward(a, b, x);
+  const SmootherDiagonal d = SmootherDiagonal::of(a);
+  for (int s = 0; s < 300; ++s) gauss_seidel_forward(a, d, b, x);
   for (int i = 0; i < 8; ++i) EXPECT_NEAR(x[i], x_exact[i], 1e-8);
 }
 
@@ -217,8 +338,9 @@ TEST(Smoothers, SymmetricGsBeatsSingleSweep) {
   CsrMatrix a = laplacian_1d(30);
   Vec b(30, 1.0);
   Vec x1(30, 0.0), x2(30, 0.0);
-  gauss_seidel_forward(a, b, x1);
-  symmetric_gauss_seidel(a, b, x2);
+  const SmootherDiagonal d = SmootherDiagonal::of(a);
+  gauss_seidel_forward(a, d, b, x1);
+  symmetric_gauss_seidel(a, d, b, x2);
   double r1 = norm2(subtract(b, a.multiply(x1)));
   double r2 = norm2(subtract(b, a.multiply(x2)));
   EXPECT_LT(r2, r1);
@@ -231,7 +353,11 @@ TEST(Smoothers, ZeroDiagonalThrows) {
   builder.add(1, 1, 1.0);
   CsrMatrix a = CsrMatrix::from_triplets(builder);
   Vec b(2, 1.0), x(2, 0.0);
-  EXPECT_THROW(gauss_seidel_forward(a, b, x), NumericError);
+  const SmootherDiagonal d = SmootherDiagonal::of(a);
+  EXPECT_EQ(d.index[0], -1);
+  EXPECT_EQ(d.values[0], 0.0);
+  EXPECT_THROW(gauss_seidel_forward(a, d, b, x), NumericError);
+  EXPECT_THROW(jacobi_sweep(a, d, b, x), NumericError);
 }
 
 }  // namespace

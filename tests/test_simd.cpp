@@ -1,7 +1,6 @@
-// Tests for the irf::simd kernel layer: SELL-C-sigma layout construction,
-// the bit-identity contract (fp64 kernels agree bit-for-bit with the scalar
-// reference no matter which ISA tier runs or whether the gate is on), value
-// refills after a rebind, and the CsrMatrix cache plumbing around it.
+// Tests for the irf::simd kernel layer: the bit-identity contract (the range
+// kernels agree bit-for-bit with the scalar reference no matter which ISA
+// tier runs or whether the gate is on) and the tier reporting.
 
 #include <gtest/gtest.h>
 
@@ -10,16 +9,12 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "linalg/csr.hpp"
 #include "linalg/vector_ops.hpp"
-#include "simd/sell.hpp"
 #include "simd/simd.hpp"
 
 namespace irf::simd {
 namespace {
 
-using linalg::CsrMatrix;
-using linalg::TripletBuilder;
 using linalg::Vec;
 
 /// Restores the process-global kernel gate on scope exit so one test's
@@ -32,141 +27,6 @@ class GateGuard {
  private:
   bool was_;
 };
-
-/// Random square sparse SPD-ish matrix with irregular row lengths: a banded
-/// skeleton plus scattered long-range entries, so slices get distinct
-/// min/max widths and the sigma-sort permutation actually reorders rows.
-CsrMatrix random_sparse(int n, Rng& rng) {
-  TripletBuilder b(n, n);
-  for (int i = 0; i < n; ++i) {
-    b.add(i, i, 4.0 + std::abs(rng.normal()));
-    for (int d = 1; d <= 2; ++d) {
-      if (i + d < n && rng.uniform() < 0.7) b.add(i, i + d, -rng.uniform());
-      if (i - d >= 0 && rng.uniform() < 0.7) b.add(i, i - d, -rng.uniform());
-    }
-    // A few rows get a long tail so slice_min < slice_width somewhere.
-    if (rng.uniform() < 0.15) {
-      const int j = static_cast<int>(rng.uniform() * n) % n;
-      b.add(i, j, 0.1 * rng.normal());
-    }
-  }
-  return CsrMatrix::from_triplets(b);
-}
-
-/// Scalar reference SpMV in CSR order — the rounding every layout must hit.
-Vec reference_multiply(const CsrMatrix& a, const Vec& x) {
-  Vec y(static_cast<std::size_t>(a.rows()));
-  for (int i = 0; i < a.rows(); ++i) {
-    double s = 0.0;
-    for (int k = a.row_ptr()[i]; k < a.row_ptr()[i + 1]; ++k) {
-      s += a.values()[k] * x[a.col_idx()[k]];
-    }
-    y[i] = s;
-  }
-  return y;
-}
-
-bool bit_equal(const Vec& a, const Vec& b) {
-  if (a.size() != b.size()) return false;
-  return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-TEST(Sell, BuildIsAFaithfulPermutedCopy) {
-  Rng rng(11);
-  const CsrMatrix a = random_sparse(100, rng);
-  const SellMatrix<double> s =
-      build_sell<double>(a.rows(), a.row_ptr().data(), a.col_idx().data(),
-                         a.values().data());
-  ASSERT_EQ(s.rows, a.rows());
-  ASSERT_EQ(s.num_slices, (a.rows() + kLanes - 1) / kLanes);
-  ASSERT_EQ(s.slice_off.size(), static_cast<std::size_t>(s.num_slices) + 1);
-
-  // perm is a permutation of [0, rows).
-  std::vector<int> seen(a.rows(), 0);
-  for (int p : s.perm) {
-    ASSERT_GE(p, 0);
-    ASSERT_LT(p, a.rows());
-    ++seen[p];
-  }
-  for (int c : seen) EXPECT_EQ(c, 1);
-
-  // Every row's entries appear lane-interleaved in CSR order, and each
-  // slice's min/max widths bound its rows.
-  for (int sl = 0; sl < s.num_slices; ++sl) {
-    const int base = sl * kLanes;
-    const int active = std::min(kLanes, a.rows() - base);
-    for (int l = 0; l < active; ++l) {
-      const int row = s.perm[base + l];
-      const int len = a.row_ptr()[row + 1] - a.row_ptr()[row];
-      ASSERT_EQ(len, s.row_len[base + l]);
-      EXPECT_LE(s.slice_min[sl], len);
-      EXPECT_GE(s.slice_width[sl], len);
-      for (int j = 0; j < len; ++j) {
-        const std::int64_t k = s.slice_off[sl] + static_cast<std::int64_t>(j) * kLanes + l;
-        EXPECT_EQ(s.cols[k], a.col_idx()[a.row_ptr()[row] + j]);
-        EXPECT_EQ(s.vals[k], a.values()[a.row_ptr()[row] + j]);
-      }
-      // Padding beyond the row is zero (never read for stored lanes, but a
-      // zero pad keeps the layout safe to scan).
-      for (int j = len; j < s.slice_width[sl]; ++j) {
-        const std::int64_t k = s.slice_off[sl] + static_cast<std::int64_t>(j) * kLanes + l;
-        EXPECT_EQ(s.vals[k], 0.0);
-      }
-    }
-  }
-}
-
-TEST(Sell, SpmvBitIdenticalToCsrReferenceAcrossShapes) {
-  Rng rng(29);
-  for (int n : {1, 5, 8, 9, 17, 64, 200, 1041}) {
-    const CsrMatrix a = random_sparse(n, rng);
-    const SellMatrix<double> s =
-        build_sell<double>(a.rows(), a.row_ptr().data(), a.col_idx().data(),
-                           a.values().data());
-    Vec x(static_cast<std::size_t>(n));
-    for (double& v : x) v = rng.normal();
-    const Vec want = reference_multiply(a, x);
-    Vec got(static_cast<std::size_t>(n), 0.0);
-    sell_spmv(s.view(), x.data(), got.data(), 0, s.num_slices);
-    EXPECT_TRUE(bit_equal(want, got)) << "n=" << n;
-  }
-}
-
-TEST(Sell, RefillValuesMatchesFreshBuild) {
-  Rng rng(37);
-  const CsrMatrix a = random_sparse(120, rng);
-  SellMatrix<double> s = build_sell<double>(
-      a.rows(), a.row_ptr().data(), a.col_idx().data(), a.values().data());
-
-  std::vector<double> scaled = a.values();
-  for (double& v : scaled) v *= 1.75;
-  refill_sell_values(s, a.row_ptr().data(), scaled.data());
-
-  const SellMatrix<double> fresh = build_sell<double>(
-      a.rows(), a.row_ptr().data(), a.col_idx().data(), scaled.data());
-  ASSERT_EQ(s.vals.size(), fresh.vals.size());
-  EXPECT_EQ(0, std::memcmp(s.vals.data(), fresh.vals.data(),
-                           s.vals.size() * sizeof(double)));
-  // Structure untouched by a refill.
-  EXPECT_EQ(s.cols, fresh.cols);
-  EXPECT_EQ(s.perm, fresh.perm);
-}
-
-TEST(Simd, MultiplyBitIdenticalWithGateOnAndOff) {
-  GateGuard guard;
-  Rng rng(43);
-  const CsrMatrix a = random_sparse(513, rng);
-  Vec x(static_cast<std::size_t>(a.rows()));
-  for (double& v : x) v = rng.normal();
-
-  Vec y_off, y_on;
-  set_enabled(false);
-  a.multiply(x, y_off);
-  set_enabled(true);
-  a.multiply(x, y_on);
-  EXPECT_TRUE(bit_equal(y_off, y_on));
-  EXPECT_TRUE(bit_equal(y_off, reference_multiply(a, x)));
-}
 
 TEST(Simd, DotBitIdenticalWithGateOnAndOff) {
   GateGuard guard;
@@ -214,38 +74,6 @@ TEST(Simd, ElementwiseKernelsMatchScalarLoops) {
   for (std::int64_t i = 0; i < n; ++i) EXPECT_EQ(y[i], b[i] + 0.7 * a[i] / diag[i]);
 }
 
-TEST(Simd, WidenNarrowRoundTrip) {
-  const std::int64_t n = 300;
-  std::vector<float> f(n), f2(n);
-  std::vector<double> d(n);
-  Rng rng(59);
-  for (float& v : f) v = static_cast<float>(rng.normal());
-  widen(f.data(), d.data(), n);
-  narrow(d.data(), f2.data(), n);
-  for (std::int64_t i = 0; i < n; ++i) {
-    EXPECT_EQ(d[i], static_cast<double>(f[i]));
-    EXPECT_EQ(f2[i], f[i]);
-  }
-}
-
-TEST(Simd, Fp32SpmvTracksFp64) {
-  Rng rng(61);
-  const CsrMatrix a = random_sparse(256, rng);
-  const SellMatrix<float> s = build_sell<float>(
-      a.rows(), a.row_ptr().data(), a.col_idx().data(), a.values().data());
-  std::vector<float> x(static_cast<std::size_t>(a.rows())), y(x.size(), 0.0f);
-  Vec xd(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    xd[i] = rng.normal();
-    x[i] = static_cast<float>(xd[i]);
-  }
-  sell_spmv(s.view(), x.data(), y.data(), 0, s.num_slices);
-  const Vec want = reference_multiply(a, xd);
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    EXPECT_NEAR(y[i], want[i], 1e-4 * (1.0 + std::abs(want[i])));
-  }
-}
-
 TEST(Simd, TierReportingFollowsGate) {
   GateGuard guard;
   set_enabled(false);
@@ -253,56 +81,6 @@ TEST(Simd, TierReportingFollowsGate) {
   set_enabled(true);
   EXPECT_EQ(active_tier(), best_tier());
   EXPECT_STRNE(tier_name(best_tier()), "");
-}
-
-TEST(CsrCache, MutableValuesInvalidatesSellMirror) {
-  GateGuard guard;
-  set_enabled(true);
-  Rng rng(67);
-  CsrMatrix a = random_sparse(300, rng);
-  Vec x(static_cast<std::size_t>(a.rows()));
-  for (double& v : x) v = rng.normal();
-
-  Vec y_before;
-  a.multiply(x, y_before);  // builds + caches the SELL mirror
-
-  for (double& v : a.mutable_values()) v *= 2.0;  // must drop the mirror
-  Vec y_after;
-  a.multiply(x, y_after);
-  EXPECT_TRUE(bit_equal(y_after, reference_multiply(a, x)));
-  for (std::size_t i = 0; i < y_after.size(); ++i) {
-    EXPECT_EQ(y_after[i], 2.0 * y_before[i]);
-  }
-}
-
-TEST(CsrCache, MemoryBytesCountsTheSellMirror) {
-  GateGuard guard;
-  set_enabled(true);
-  Rng rng(71);
-  const CsrMatrix a = random_sparse(400, rng);
-  const std::size_t before = a.memory_bytes();
-  Vec x(static_cast<std::size_t>(a.rows()), 1.0), y;
-  a.multiply(x, y);  // builds the lazy SELL cache
-  EXPECT_GT(a.memory_bytes(), before);
-}
-
-TEST(CsrCache, CopyAndMoveDropCaches) {
-  GateGuard guard;
-  set_enabled(true);
-  Rng rng(73);
-  CsrMatrix a = random_sparse(200, rng);
-  Vec x(static_cast<std::size_t>(a.rows()), 1.0), y;
-  a.multiply(x, y);  // warm the cache
-
-  CsrMatrix copy = a;  // caches are not copied, results still identical
-  Vec y_copy;
-  copy.multiply(x, y_copy);
-  EXPECT_TRUE(bit_equal(y, y_copy));
-
-  CsrMatrix moved = std::move(copy);
-  Vec y_moved;
-  moved.multiply(x, y_moved);
-  EXPECT_TRUE(bit_equal(y, y_moved));
 }
 
 }  // namespace

@@ -275,124 +275,71 @@ TEST(AmgPcg, SetupTimeRecorded) {
   EXPECT_EQ(r.setup_seconds, solver.setup_seconds());
 }
 
-double mean_abs_error(const Vec& a, const Vec& b) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += std::abs(a[i] - b[i]);
-  return s / static_cast<double>(a.size());
-}
-
-TEST(MixedPrecision, MatchesFp64GoldenAccuracy) {
-  // The fp32 preconditioner must not cost accuracy: scored against a tighter
-  // fp64 reference, the mixed solve's golden MAE stays within 1e-8 of the
-  // fp64 solve's (the same contract the roofline bench enforces).
-  CsrMatrix a = laplacian_2d(32);
-  Rng rng(21);
-  Vec x_true = random_vec(a.rows(), rng);
-  Vec b = a.multiply(x_true);
-  AmgPcgSolver solver(a);
-
-  SolveResult ref = solver.solve_golden(b, 1e-13, 4000);
-  SolveOptions opt;
-  opt.rel_tolerance = 1e-10;
-  SolveResult r64 = solver.solve(b, opt);
-  EXPECT_FALSE(solver.has_fp32_mirror());
-
-  opt.precision = PrecisionMode::kMixed;
-  SolveResult rmx = solver.solve(b, opt);
-  EXPECT_TRUE(solver.has_fp32_mirror());
-  EXPECT_TRUE(r64.converged);
-  EXPECT_TRUE(rmx.converged);
-  EXPECT_NEAR(mean_abs_error(rmx.x, ref.x), mean_abs_error(r64.x, ref.x), 1e-8);
-}
-
-TEST(MixedPrecision, Fp64PathUnchangedByMixedSolves) {
-  // PrecisionMode is per-solve: a mixed solve in between must not perturb
-  // the bit-exact fp64 result (golden solves and warm-start seeding rely on
-  // this).
-  CsrMatrix a = laplacian_2d(24);
-  Rng rng(22);
-  Vec b = random_vec(a.rows(), rng);
-  AmgPcgSolver solver(a);
-  SolveOptions opt;
-  opt.rel_tolerance = 1e-9;
-  SolveResult first = solver.solve(b, opt);
-
-  SolveOptions mixed = opt;
-  mixed.precision = PrecisionMode::kMixed;
-  (void)solver.solve(b, mixed);
-
-  SolveResult again = solver.solve(b, opt);
-  ASSERT_EQ(first.x.size(), again.x.size());
-  for (std::size_t i = 0; i < first.x.size(); ++i) {
-    EXPECT_EQ(first.x[i], again.x[i]);
+TEST(Amg, SmootherDiagonalsMatchEveryLevel) {
+  // The smoothers read each level's diagonal from the arrays built once at
+  // setup; they must be that level operator's diagonal, position and value.
+  for (SmootherType smoother :
+       {SmootherType::kSymmetricGaussSeidel, SmootherType::kJacobi}) {
+    AmgOptions opt;
+    opt.smoother = smoother;
+    AmgHierarchy h(laplacian_2d(24), opt);
+    ASSERT_GT(h.num_levels(), 2);
+    for (int l = 0; l < h.num_levels(); ++l) {
+      const AmgLevel& level = h.level(l);
+      const CsrMatrix& a = level.matrix;
+      ASSERT_EQ(level.diagonal.index.size(), static_cast<std::size_t>(a.rows()));
+      ASSERT_EQ(level.diagonal.values.size(), static_cast<std::size_t>(a.rows()));
+      for (int r = 0; r < a.rows(); ++r) {
+        const int k = level.diagonal.index[r];
+        ASSERT_GE(k, 0) << "level " << l << " row " << r;
+        EXPECT_EQ(a.col_idx()[k], r);
+        EXPECT_EQ(level.diagonal.values[r], a.at(r, r)) << "level " << l << " row " << r;
+      }
+    }
   }
 }
 
-TEST(MixedPrecision, MirrorCountedInMemoryBytes) {
-  CsrMatrix a = laplacian_2d(24);
-  AmgPcgSolver solver(a);
-  const std::size_t before = solver.memory_bytes();
-  Vec b(static_cast<std::size_t>(a.rows()), 1.0);
-  SolveOptions opt;
-  opt.precision = PrecisionMode::kMixed;
-  opt.rel_tolerance = 1e-8;
-  (void)solver.solve(b, opt);
-  EXPECT_TRUE(solver.has_fp32_mirror());
-  EXPECT_GT(solver.memory_bytes(), before);
+TEST(Amg, MemoryBytesCountsSmootherDiagonals) {
+  AmgHierarchy h(laplacian_2d(24));
+  std::size_t without_diagonals = 0;
+  std::size_t diagonals = 0;
+  std::size_t rows = 0;
+  for (int l = 0; l < h.num_levels(); ++l) {
+    const AmgLevel& level = h.level(l);
+    without_diagonals += level.matrix.memory_bytes();
+    if (level.to_coarse) {
+      without_diagonals += level.to_coarse->aggregate_of.capacity() * sizeof(int);
+    }
+    diagonals += level.diagonal.memory_bytes();
+    rows += static_cast<std::size_t>(level.matrix.rows());
+  }
+  const auto coarse_n = static_cast<std::size_t>(h.coarse_solver().size());
+  without_diagonals += coarse_n * coarse_n * sizeof(double);
+  EXPECT_GE(diagonals, rows * (sizeof(int) + sizeof(double)));
+  EXPECT_EQ(h.memory_bytes(), without_diagonals + diagonals);
 }
 
-TEST(MixedPrecision, RebindRebuildsSellAndFp32Mirror) {
-  // Regression for the rebind path: update_matrix_values must invalidate the
-  // cached SELL layout AND the fp32 mirror, so a post-rebind solve (SIMD on)
-  // converges against the NEW values, and a post-rebind mixed solve
-  // preconditions with the new conductances rather than stale ones.
+TEST(AmgPcg, RebindConvergesAgainstNewValues) {
+  // update_matrix_values swaps the outer operator's values under the frozen
+  // hierarchy: a post-rebind solve must converge to x_true of the NEW
+  // system, not of the setup one.
   CsrMatrix a = laplacian_2d(20);
   Rng rng(23);
   Vec x_true = random_vec(a.rows(), rng);
   AmgPcgSolver solver(a);
   SolveOptions opt;
   opt.rel_tolerance = 1e-10;
-  SolveOptions mixed = opt;
-  mixed.precision = PrecisionMode::kMixed;
-  (void)solver.solve(a.multiply(x_true), mixed);  // build SELL + fp32 mirror
-  ASSERT_TRUE(solver.has_fp32_mirror());
+  (void)solver.solve(a.multiply(x_true), opt);
 
   // Same sparsity, scaled values: a valid rebind.
   CsrMatrix a2 = a;
   for (double& v : a2.mutable_values()) v *= 2.5;
   solver.update_matrix_values(a2);
-  EXPECT_FALSE(solver.has_fp32_mirror());  // dropped, rebuilt on demand
 
   Vec b2 = a2.multiply(x_true);
   SolveResult r = solver.solve(b2, opt);
   EXPECT_TRUE(r.converged);
   for (int i = 0; i < a2.rows(); ++i) EXPECT_NEAR(r.x[i], x_true[i], 1e-6);
-
-  SolveResult rm = solver.solve(b2, mixed);
-  EXPECT_TRUE(rm.converged);
-  EXPECT_TRUE(solver.has_fp32_mirror());
-  for (int i = 0; i < a2.rows(); ++i) EXPECT_NEAR(rm.x[i], x_true[i], 1e-6);
-  // A stale preconditioner would still converge eventually — the sharp check
-  // is that the mixed iteration count stays in the same regime as fp64.
-  EXPECT_LE(rm.iterations, r.iterations + 5);
-}
-
-TEST(MixedPrecision, RoughSolveHonorsPrecisionMode) {
-  CsrMatrix a = laplacian_2d(16);
-  Rng rng(24);
-  Vec x_true = random_vec(a.rows(), rng);
-  Vec b = a.multiply(x_true);
-  AmgPcgSolver solver(a);
-  SolveResult r64 = solver.solve_rough(b, 4);
-  SolveResult rmx =
-      solver.solve_rough(b, 4, /*x0=*/nullptr, PrecisionMode::kMixed);
-  EXPECT_EQ(r64.iterations, 4);
-  EXPECT_EQ(rmx.iterations, 4);
-  // Four preconditioned iterations land both variants in the same error
-  // regime; the fp32 cycle only perturbs the direction slightly.
-  const double e64 = linalg::norm2(linalg::subtract(r64.x, x_true));
-  const double emx = linalg::norm2(linalg::subtract(rmx.x, x_true));
-  EXPECT_LT(emx, 4.0 * e64 + 1e-12);
 }
 
 }  // namespace

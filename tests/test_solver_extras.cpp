@@ -1,6 +1,5 @@
-// Tests for the additional solver families the paper's introduction surveys:
-// the Monte-Carlo random-walk solver and the incomplete-Cholesky
-// preconditioner (sparse-factorization family).
+// Tests for the baseline preconditioners and the warm-start behaviour of the
+// CG drivers on power-grid systems.
 
 #include <gtest/gtest.h>
 
@@ -12,144 +11,9 @@
 #include "pg/mna.hpp"
 #include "pg/solve.hpp"
 #include "solver/cg.hpp"
-#include "solver/ichol.hpp"
-#include "solver/random_walk.hpp"
-#include "spice/parser.hpp"
 
 namespace irf::solver {
 namespace {
-
-/// Pad -- 1 ohm -- A -- 1 ohm -- B with 1 mA at B (hand-solvable ladder).
-constexpr const char* kLadder = R"(
-V1 n1_m2_0_0 0 1.1
-R1 n1_m2_0_0 n1_m1_0_0 1
-R2 n1_m1_0_0 n1_m1_2000_0 1
-I1 n1_m1_2000_0 0 1m
-)";
-
-TEST(RandomWalk, DeterministicSingleEdge) {
-  // One node hanging off the pad: every walk is {pay cost, step to pad},
-  // so the Monte-Carlo estimate is exact: v = vdd - I*R.
-  spice::Netlist net = spice::parse_string(
-      "V1 n1_m2_0_0 0 1.1\n"
-      "R1 n1_m2_0_0 n1_m1_0_0 2\n"
-      "I1 n1_m1_0_0 0 1m\n");
-  RandomWalkSolver rw(net);
-  RandomWalkEstimate e = rw.estimate(*net.find_node("n1_m1_0_0"));
-  EXPECT_NEAR(e.voltage, 1.1 - 2e-3, 1e-12);
-  EXPECT_NEAR(e.std_error, 0.0, 1e-12);
-}
-
-TEST(RandomWalk, MatchesHandSolvedLadder) {
-  spice::Netlist net = spice::parse_string(kLadder);
-  RandomWalkOptions opt;
-  opt.walks_per_node = 4000;
-  opt.seed = 7;
-  RandomWalkSolver rw(net, opt);
-  const spice::NodeId a = *net.find_node("n1_m1_0_0");
-  const spice::NodeId b = *net.find_node("n1_m1_2000_0");
-  RandomWalkEstimate ea = rw.estimate(a);
-  RandomWalkEstimate eb = rw.estimate(b);
-  // Monte-Carlo estimates: allow 5-sigma against the hand solution.
-  EXPECT_NEAR(ea.voltage, 1.1 - 1e-3, std::max(5.0 * ea.std_error, 1e-6));
-  EXPECT_NEAR(eb.voltage, 1.1 - 2e-3, std::max(5.0 * eb.std_error, 1e-6));
-}
-
-TEST(RandomWalk, PadIsExact) {
-  spice::Netlist net = spice::parse_string(kLadder);
-  RandomWalkSolver rw(net);
-  const spice::NodeId pad = *net.find_node("n1_m2_0_0");
-  RandomWalkEstimate e = rw.estimate(pad);
-  EXPECT_DOUBLE_EQ(e.voltage, 1.1);
-  EXPECT_EQ(e.walks, 0);
-}
-
-TEST(RandomWalk, AgreesWithAmgPcgOnGrid) {
-  Rng rng(31);
-  pg::PgDesign design = pg::generate_fake_design(32, rng, "rw");
-  pg::PgSolution golden = pg::golden_solve(design);
-
-  RandomWalkOptions opt;
-  opt.walks_per_node = 800;
-  opt.seed = 3;
-  RandomWalkSolver rw(design.netlist, opt);
-  // Check a handful of nodes: Monte-Carlo error ~ std_error; require 4-sigma.
-  for (spice::NodeId node : {0, 7, 42, 123}) {
-    RandomWalkEstimate e = rw.estimate(node);
-    const double tol = std::max(4.0 * e.std_error, 5e-5);
-    EXPECT_NEAR(e.voltage, golden.node_voltage[node], tol) << "node " << node;
-  }
-}
-
-TEST(RandomWalk, RejectsUnreachableTopology) {
-  spice::Netlist net = spice::parse_string(
-      "V1 n1_m1_0_0 0 1.1\n"
-      "R1 n1_m1_0_0 n1_m1_2000_0 1\n"
-      "R2 n1_m1_8000_0 n1_m1_10000_0 1\n");
-  EXPECT_THROW(RandomWalkSolver{net}, NumericError);
-}
-
-TEST(RandomWalk, DeterministicGivenSeed) {
-  spice::Netlist net = spice::parse_string(kLadder);
-  RandomWalkOptions opt;
-  opt.walks_per_node = 50;
-  opt.seed = 11;
-  RandomWalkSolver a(net, opt), b(net, opt);
-  const spice::NodeId node = *net.find_node("n1_m1_2000_0");
-  EXPECT_DOUBLE_EQ(a.estimate(node).voltage, b.estimate(node).voltage);
-}
-
-TEST(IncompleteCholesky, ExactOnTridiagonal) {
-  // IC(0) on a tridiagonal SPD matrix is the exact Cholesky factor, so one
-  // preconditioned CG iteration must converge.
-  const int n = 30;
-  linalg::TripletBuilder tb(n, n);
-  for (int i = 0; i < n; ++i) {
-    tb.add(i, i, 2.5);
-    if (i + 1 < n) {
-      tb.add(i, i + 1, -1.0);
-      tb.add(i + 1, i, -1.0);
-    }
-  }
-  linalg::CsrMatrix a = linalg::CsrMatrix::from_triplets(tb);
-  Rng rng(1);
-  linalg::Vec b(static_cast<std::size_t>(n));
-  for (double& v : b) v = rng.normal();
-  IncompleteCholesky ic(a);
-  EXPECT_DOUBLE_EQ(ic.shift(), 0.0);
-  SolveOptions opt;
-  opt.rel_tolerance = 1e-10;
-  SolveResult r = preconditioned_cg(a, b, ic, opt);
-  EXPECT_TRUE(r.converged);
-  EXPECT_LE(r.iterations, 2);
-}
-
-TEST(IncompleteCholesky, AcceleratesPgSolve) {
-  Rng rng(32);
-  pg::PgDesign design = pg::generate_fake_design(32, rng, "ic");
-  pg::MnaSystem sys = pg::assemble_mna(design.netlist);
-  SolveOptions opt;
-  opt.rel_tolerance = 1e-8;
-  opt.max_iterations = 20000;
-  SolveResult plain = conjugate_gradient(sys.conductance, sys.rhs, opt);
-  IncompleteCholesky ic(sys.conductance);
-  SolveResult pre = preconditioned_cg(sys.conductance, sys.rhs, ic, opt);
-  EXPECT_TRUE(pre.converged);
-  EXPECT_LT(pre.iterations, plain.iterations);
-  // Solutions agree.
-  for (std::size_t i = 0; i < pre.x.size(); i += 17) {
-    EXPECT_NEAR(pre.x[i], plain.x[i], 1e-5);
-  }
-}
-
-TEST(IncompleteCholesky, RejectsNonSymmetric) {
-  linalg::TripletBuilder tb(2, 2);
-  tb.add(0, 0, 2.0);
-  tb.add(0, 1, -1.0);
-  tb.add(1, 1, 2.0);
-  linalg::CsrMatrix a = linalg::CsrMatrix::from_triplets(tb);
-  EXPECT_THROW(IncompleteCholesky{a}, NumericError);
-}
 
 TEST(SgsPreconditioner, AcceleratesCg) {
   Rng rng(35);
