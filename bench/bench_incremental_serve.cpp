@@ -13,9 +13,13 @@
 // Per round the served map is scored against a golden solve of that exact
 // perturbed design; the fusion contract is that warm serving must not move
 // this accuracy (the warm PCG targets the same residual the cold rough solve
-// reached). Writes BENCH_incremental_serve.json and exits non-zero unless
-//   speedup >= 2  AND  max |mae_warm - mae_cold| <= 1e-8  AND  every
-// perturbation was actually served warm. Pass --quick for CI-sized inputs.
+// reached). The cold and warm passes are timed as kRepetitions interleaved
+// pairs (a fresh engine each), and the speedup is the median of the per-pair
+// cold/warm ratios, so one host hiccup cannot decide the bar. Writes
+// BENCH_incremental_serve.json and exits non-zero unless
+//   median speedup >= 2  AND  max |mae_warm - mae_cold| <= 1e-8  AND  every
+// perturbation of every warm pass was actually served warm. Pass --quick for
+// CI-sized inputs.
 
 #include <algorithm>
 #include <cmath>
@@ -36,6 +40,9 @@ namespace {
 
 using namespace irf;
 
+/// Interleaved cold/warm pass pairs per run; odd, so the median is one pair.
+constexpr int kRepetitions = 7;
+
 struct Sizes {
   int design_px = 128;       ///< PDN grid resolution (the MNA/AMG cost driver)
   int image_px = 32;         ///< pipeline raster resolution
@@ -45,11 +52,20 @@ struct Sizes {
 
 struct Round {
   int index = 0;
-  double cold_seconds = 0.0;
+  double cold_seconds = 0.0;  ///< median over the repetitions
   double warm_seconds = 0.0;
   double mae_cold = 0.0;
   double mae_warm = 0.0;
 };
+
+/// Nearest-rank quantile of raw samples (q in [0, 1]).
+double quantile(std::vector<double> v, double q) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const std::size_t idx =
+      static_cast<std::size_t>(q * static_cast<double>(v.size() - 1) + 0.5);
+  return v[std::min(idx, v.size() - 1)];
+}
 
 double mae(const GridF& a, const GridF& b) {
   if (a.data().size() != b.data().size() || a.data().empty()) std::abort();
@@ -78,41 +94,50 @@ IrFusionPipeline train_pipeline(const Sizes& sz, const pg::PgDesign& base) {
   return pipeline;
 }
 
-/// Serve the base design (uncounted cache fill), then time each perturbation.
-/// The serve_request timer is reset after the fill so its quantiles cover
-/// exactly the perturbation requests of this engine's pass.
-std::vector<double> timed_rounds(
-    Engine& engine, const std::shared_ptr<const pg::PgDesign>& base,
-    const std::vector<std::shared_ptr<const pg::PgDesign>>& perturbed,
-    std::vector<AnalysisResult>& results) {
-  if (!engine.analyze(*base).ok()) std::abort();
-  obs::MetricsRegistry::instance().timer("serve_request").reset();
-  std::vector<double> seconds;
+/// One engine pass: serve the base design (uncounted cache fill), then time
+/// each perturbation.
+struct Pass {
+  std::vector<double> seconds;          ///< per perturbation, client side
+  std::vector<AnalysisResult> results;  ///< per perturbation
+  EngineStats stats;
+};
+
+Pass timed_pass(const std::string& checkpoint, bool warm_start,
+                const std::shared_ptr<const pg::PgDesign>& base,
+                const std::vector<std::shared_ptr<const pg::PgDesign>>& perturbed) {
+  EngineOptions opts;
+  opts.enable_warm_start = warm_start;
+  auto engine = Engine::from_checkpoint(checkpoint, opts);
+  if (!engine->analyze(*base).ok()) std::abort();
+  Pass pass;
   for (const auto& d : perturbed) {
     Stopwatch sw;
-    AnalysisResult r = engine.analyze(*d);
-    seconds.push_back(sw.seconds());
+    AnalysisResult r = engine->analyze(*d);
+    pass.seconds.push_back(sw.seconds());
     if (!r.ok()) std::abort();
-    results.push_back(std::move(r));
+    pass.results.push_back(std::move(r));
   }
-  return seconds;
+  pass.stats = engine->stats();
+  return pass;
 }
 
-/// End-to-end latency quantiles of one engine pass, captured from the
-/// serve_request timer before the next pass resets it.
+/// End-to-end (submit -> fulfil) latency quantiles of one mode's
+/// perturbation requests over every repetition.
 struct PassQuantiles {
   double p50_seconds = 0.0;
   double p99_seconds = 0.0;
 };
 
-PassQuantiles capture_quantiles() {
-  const obs::Timer::Stats s =
-      obs::MetricsRegistry::instance().timer("serve_request").stats();
-  return {s.p50_seconds, s.p99_seconds};
+PassQuantiles e2e_quantiles(const std::vector<Pass>& passes) {
+  std::vector<double> e2e;
+  for (const Pass& p : passes) {
+    for (const AnalysisResult& r : p.results) e2e.push_back(r.stages.total_seconds);
+  }
+  return {quantile(e2e, 0.50), quantile(e2e, 0.99)};
 }
 
-void write_json(const std::vector<Round>& rounds, double speedup,
-                double mae_diff_max, const EngineStats& warm_stats,
+void write_json(const std::vector<Round>& rounds, const std::vector<double>& speedups,
+                double speedup, double mae_diff_max, const EngineStats& warm_stats,
                 const PassQuantiles& cold_q, const PassQuantiles& warm_q) {
   std::ofstream f("BENCH_incremental_serve.json");
   f << "{\n  \"bench\": \"incremental_serve\",\n  \"entries\": [\n";
@@ -126,6 +151,11 @@ void write_json(const std::vector<Round>& rounds, double speedup,
       << (i + 1 < rounds.size() ? "," : "") << "\n";
   }
   f << "  ],\n  \"summary\": {\"speedup\": " << obs::json_number(speedup)
+    << ", \"repetitions\": " << speedups.size() << ", \"speedups\": [";
+  for (std::size_t i = 0; i < speedups.size(); ++i) {
+    f << (i ? ", " : "") << obs::json_number(speedups[i]);
+  }
+  f << "]"
     << ", \"mae_diff_max\": " << obs::json_number(mae_diff_max)
     << ", \"warm_hits\": " << warm_stats.warm_hits
     << ", \"warm_fallbacks\": " << warm_stats.warm_fallbacks
@@ -171,61 +201,72 @@ int main(int argc, char** argv) {
   const std::string checkpoint = "incremental_serve_model.irf";
   save_checkpoint(pipeline, checkpoint);
 
-  std::vector<AnalysisResult> cold_results, warm_results;
-  std::vector<double> cold_seconds, warm_seconds;
-  PassQuantiles cold_q, warm_q;
-  {
-    EngineOptions opts;
-    opts.enable_warm_start = false;
-    auto engine = Engine::from_checkpoint(checkpoint, opts);
-    cold_seconds = timed_rounds(*engine, base, perturbed, cold_results);
-    cold_q = capture_quantiles();
+  // Interleaved cold/warm pairs: a slow spell of the host hits both modes
+  // of the pair it falls in, and the median pair decides the bar.
+  std::vector<Pass> cold, warm;
+  std::vector<double> speedups;
+  for (int k = 0; k < kRepetitions; ++k) {
+    cold.push_back(timed_pass(checkpoint, /*warm_start=*/false, base, perturbed));
+    warm.push_back(timed_pass(checkpoint, /*warm_start=*/true, base, perturbed));
+    double cold_total = 0.0, warm_total = 0.0;
+    for (int r = 0; r < sz.rounds; ++r) {
+      cold_total += cold.back().seconds[static_cast<std::size_t>(r)];
+      warm_total += warm.back().seconds[static_cast<std::size_t>(r)];
+    }
+    speedups.push_back(warm_total > 0.0 ? cold_total / warm_total : 0.0);
   }
-  EngineStats warm_stats;
-  {
-    auto engine = Engine::from_checkpoint(checkpoint);  // warm start on
-    warm_seconds = timed_rounds(*engine, base, perturbed, warm_results);
-    warm_q = capture_quantiles();
-    warm_stats = engine->stats();
-  }
+  const double speedup = quantile(speedups, 0.5);
 
-  // Score both request streams against a golden solve of each perturbation.
+  // Score every served map against a golden solve of its perturbation.
   std::vector<Round> rounds;
-  double cold_total = 0.0, warm_total = 0.0, mae_diff_max = 0.0;
+  double mae_diff_max = 0.0;
   bool all_warm = true;
   for (int r = 0; r < sz.rounds; ++r) {
-    pg::PgSolver solver(*perturbed[r]);
+    const auto ri = static_cast<std::size_t>(r);
+    pg::PgSolver solver(*perturbed[ri]);
     const GridF golden =
-        features::label_map(*perturbed[r], solver.solve_golden(), sz.image_px);
+        features::label_map(*perturbed[ri], solver.solve_golden(), sz.image_px);
     Round round;
     round.index = r;
-    round.cold_seconds = cold_seconds[r];
-    round.warm_seconds = warm_seconds[r];
-    round.mae_cold = mae(cold_results[r].ir_drop, golden);
-    round.mae_warm = mae(warm_results[r].ir_drop, golden);
+    std::vector<double> cold_s, warm_s;
+    for (int k = 0; k < kRepetitions; ++k) {
+      const auto ki = static_cast<std::size_t>(k);
+      cold_s.push_back(cold[ki].seconds[ri]);
+      warm_s.push_back(warm[ki].seconds[ri]);
+      const double mae_cold = mae(cold[ki].results[ri].ir_drop, golden);
+      const double mae_warm = mae(warm[ki].results[ri].ir_drop, golden);
+      mae_diff_max = std::max(mae_diff_max, std::abs(mae_warm - mae_cold));
+      all_warm = all_warm && warm[ki].results[ri].warm_start;
+      if (k == 0) {
+        round.mae_cold = mae_cold;
+        round.mae_warm = mae_warm;
+      }
+    }
+    round.cold_seconds = quantile(cold_s, 0.5);
+    round.warm_seconds = quantile(warm_s, 0.5);
     rounds.push_back(round);
-    cold_total += round.cold_seconds;
-    warm_total += round.warm_seconds;
-    mae_diff_max = std::max(mae_diff_max, std::abs(round.mae_warm - round.mae_cold));
-    all_warm = all_warm && warm_results[r].warm_start;
   }
-  const double speedup = warm_total > 0.0 ? cold_total / warm_total : 0.0;
+  for (const Pass& p : warm) {
+    all_warm = all_warm && p.stats.warm_hits == static_cast<std::uint64_t>(sz.rounds);
+  }
+  const EngineStats& warm_stats = warm.front().stats;
 
-  write_json(rounds, speedup, mae_diff_max, warm_stats, cold_q, warm_q);
+  write_json(rounds, speedups, speedup, mae_diff_max, warm_stats, e2e_quantiles(cold),
+             e2e_quantiles(warm));
 
   std::cout << "round   cold_s     warm_s     mae_cold      mae_warm\n";
   for (const Round& r : rounds) {
     std::printf("%5d %8.4f %10.4f %12.3e %13.3e\n", r.index, r.cold_seconds,
                 r.warm_seconds, r.mae_cold, r.mae_warm);
   }
-  std::cout << "warm speedup: " << speedup << "x, mae_diff_max: " << mae_diff_max
+  std::cout << "warm speedup (median of " << kRepetitions << " pairs): " << speedup
+            << "x, mae_diff_max: " << mae_diff_max
             << ", warm_hits: " << warm_stats.warm_hits
             << "/" << sz.rounds << "\n"
             << "wrote BENCH_incremental_serve.json\n";
 
   // Acceptance bars: warm serving at least 2x faster at unchanged accuracy,
   // with every perturbation actually served through the warm path.
-  const bool pass = speedup >= 2.0 && mae_diff_max <= 1e-8 && all_warm &&
-                    warm_stats.warm_hits == static_cast<std::uint64_t>(sz.rounds);
+  const bool pass = speedup >= 2.0 && mae_diff_max <= 1e-8 && all_warm;
   return pass ? 0 : 1;
 }

@@ -20,8 +20,8 @@
 // request's latency (no coordinated omission).
 //
 // Writes BENCH_serve_load.json (one entry per shard count, plus the
-// calibration block and the obs metrics snapshot with the serve.router.*
-// counters). Pass --quick for the CI-sized run (the ctest artifact check
+// calibration block and the obs metrics snapshot with the
+// serve.router.requests counter). Pass --quick for the CI-sized run (the ctest artifact check
 // uses it).
 
 #include <algorithm>
@@ -63,8 +63,6 @@ struct Entry {
   double e2e_p50_seconds = 0.0;
   double e2e_p99_seconds = 0.0;
   double cache_hit_rate = 0.0;
-  std::uint64_t steals = 0;
-  std::uint64_t stolen_requests = 0;
   std::uint64_t shed = 0;
   std::uint64_t evictions = 0;
   int served = 0;
@@ -228,8 +226,6 @@ Entry run_config(const std::string& checkpoint, int shards, std::size_t budget_b
   const std::uint64_t lookups = rs.total.cache_hits + rs.total.cache_misses;
   e.cache_hit_rate =
       lookups > 0 ? static_cast<double>(rs.total.cache_hits) / lookups : 0.0;
-  e.steals = rs.steals;
-  e.stolen_requests = rs.stolen_requests;
   e.shed = rs.total.shed;
   e.evictions = rs.total.cache_evictions;
   if (rs.total.completed > rs.total.submitted) std::abort();  // stats invariant
@@ -257,8 +253,6 @@ void write_json(const std::vector<Entry>& entries, double c1_rps, double c2_rps,
       << ", \"e2e_p50_seconds\": " << obs::json_number(e.e2e_p50_seconds)
       << ", \"e2e_p99_seconds\": " << obs::json_number(e.e2e_p99_seconds)
       << ", \"cache_hit_rate\": " << obs::json_number(e.cache_hit_rate)
-      << ", \"steals\": " << e.steals
-      << ", \"stolen_requests\": " << e.stolen_requests
       << ", \"shed\": " << e.shed << ", \"evictions\": " << e.evictions << "}"
       << (i + 1 < entries.size() ? "," : "") << "\n";
   }
@@ -339,13 +333,12 @@ int main(int argc, char** argv) {
   }
   write_json(entries, c1, c2, offered, budget);
 
-  std::cout << "shards   requests   served      req/s     p50_ms     p99_ms  hit_rate  steals  shed\n";
+  std::cout << "shards   requests   served      req/s     p50_ms     p99_ms  hit_rate  shed\n";
   const Entry* single = nullptr;
   for (const Entry& e : entries) {
-    std::printf("%6d %10d %8d %10.1f %10.2f %10.2f %9.3f %7llu %5llu\n", e.shards,
+    std::printf("%6d %10d %8d %10.1f %10.2f %10.2f %9.3f %5llu\n", e.shards,
                 e.requests, e.served, e.throughput_rps, e.e2e_p50_seconds * 1e3,
                 e.e2e_p99_seconds * 1e3, e.cache_hit_rate,
-                static_cast<unsigned long long>(e.steals),
                 static_cast<unsigned long long>(e.shed));
     if (e.shards == 1) single = &e;
   }

@@ -9,9 +9,13 @@
 //   warm_engine   engine with a warmed cache at batch sizes 1/4/16 — the
 //                 steady-state serving configuration
 //
-// Writes BENCH_serve_throughput.json with one entry per configuration plus
-// the engine's obs metrics snapshot (cache hit/miss counters, queue gauge).
-// Pass --quick for CI-sized inputs (the ctest artifact check uses it).
+// Every configuration is timed in each of kRepetitions interleaved rounds,
+// and each entry reports the median pass; the bar compares warm and cold
+// per round and gates on the median ratio, so one host hiccup cannot decide
+// it. Writes BENCH_serve_throughput.json with one entry per configuration
+// plus the engine's obs metrics snapshot (cache hit/miss counters, queue
+// gauge). Pass --quick for CI-sized inputs (the ctest artifact check uses
+// it).
 
 #include <algorithm>
 #include <cstring>
@@ -30,39 +34,33 @@ namespace {
 
 using namespace irf;
 
+/// Interleaved timing rounds per run; odd, so the median is one round.
+constexpr int kRepetitions = 7;
+
+/// Nearest-rank quantile of raw samples (q in [0, 1]).
+double quantile(std::vector<double> v, double q) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const std::size_t idx =
+      static_cast<std::size_t>(q * static_cast<double>(v.size() - 1) + 0.5);
+  return v[std::min(idx, v.size() - 1)];
+}
+
+/// One configuration's timed passes over every repetition.
 struct Entry {
   std::string mode;
   int batch = 1;
-  int requests = 0;
+  int requests = 0;  ///< per pass
   bool cache_warm = false;
-  double seconds = 0.0;
-  double rps = 0.0;
-  // Per-mode latency quantiles from the serve_queue_wait / serve_request
-  // timers (reset before each measured pass). Zero for cold_direct, which
-  // never goes through the engine.
-  double queue_p50_seconds = 0.0;
-  double queue_p99_seconds = 0.0;
-  double e2e_p50_seconds = 0.0;
-  double e2e_p99_seconds = 0.0;
+  std::vector<double> pass_seconds;  ///< one per repetition
+  // Per-request latencies over every pass, for exact quantiles. Empty for
+  // cold_direct, which never goes through the engine.
+  std::vector<double> queue_wait;
+  std::vector<double> e2e;
+
+  double seconds() const { return quantile(pass_seconds, 0.5); }
+  double rps() const { return requests / seconds(); }
 };
-
-/// Reset the per-request latency timers so the next pass's quantiles are
-/// mode-pure (counters and gauges keep accumulating across modes).
-void reset_latency_timers() {
-  obs::MetricsRegistry::instance().timer("serve_queue_wait").reset();
-  obs::MetricsRegistry::instance().timer("serve_request").reset();
-}
-
-void fill_quantiles(Entry& e) {
-  const obs::Timer::Stats queue =
-      obs::MetricsRegistry::instance().timer("serve_queue_wait").stats();
-  const obs::Timer::Stats e2e =
-      obs::MetricsRegistry::instance().timer("serve_request").stats();
-  e.queue_p50_seconds = queue.p50_seconds;
-  e.queue_p99_seconds = queue.p99_seconds;
-  e.e2e_p50_seconds = e2e.p50_seconds;
-  e.e2e_p99_seconds = e2e.p99_seconds;
-}
 
 struct Sizes {
   int image_px = 32;
@@ -102,10 +100,11 @@ IrFusionPipeline train_pipeline(
   return pipeline;
 }
 
-/// Serve `rounds` passes over the design list through `engine`, async.
-double serve_rounds(Engine& engine,
-                    const std::vector<std::shared_ptr<const pg::PgDesign>>& designs,
-                    int rounds) {
+/// Serve `rounds` passes over the design list through `engine`, async, and
+/// record the pass time and every request's latencies into `entry`.
+void serve_rounds(Engine& engine,
+                  const std::vector<std::shared_ptr<const pg::PgDesign>>& designs,
+                  int rounds, Entry* entry = nullptr) {
   Stopwatch sw;
   std::vector<Engine::Ticket> tickets;
   tickets.reserve(designs.size() * static_cast<std::size_t>(rounds));
@@ -116,11 +115,18 @@ double serve_rounds(Engine& engine,
       tickets.push_back(engine.submit(std::move(request)));
     }
   }
+  std::vector<AnalysisResult> results;
   for (Engine::Ticket& t : tickets) {
-    AnalysisResult result = t.result.get();
-    if (!result.has_map()) std::abort();  // keep the serve observable
+    results.push_back(t.result.get());
+    if (!results.back().has_map()) std::abort();  // keep the serve observable
   }
-  return sw.seconds();
+  const double seconds = sw.seconds();
+  if (!entry) return;
+  entry->pass_seconds.push_back(seconds);
+  for (const AnalysisResult& r : results) {
+    entry->queue_wait.push_back(r.stages.queue_wait_seconds);
+    entry->e2e.push_back(r.stages.total_seconds);
+  }
 }
 
 void write_json(const std::vector<Entry>& entries) {
@@ -131,12 +137,13 @@ void write_json(const std::vector<Entry>& entries) {
     f << "    {\"mode\": \"" << obs::json_escape(e.mode) << "\""
       << ", \"batch\": " << e.batch << ", \"requests\": " << e.requests
       << ", \"cache_warm\": " << (e.cache_warm ? "true" : "false")
-      << ", \"seconds\": " << obs::json_number(e.seconds)
-      << ", \"rps\": " << obs::json_number(e.rps)
-      << ", \"queue_p50_seconds\": " << obs::json_number(e.queue_p50_seconds)
-      << ", \"queue_p99_seconds\": " << obs::json_number(e.queue_p99_seconds)
-      << ", \"e2e_p50_seconds\": " << obs::json_number(e.e2e_p50_seconds)
-      << ", \"e2e_p99_seconds\": " << obs::json_number(e.e2e_p99_seconds) << "}"
+      << ", \"repetitions\": " << e.pass_seconds.size()
+      << ", \"seconds\": " << obs::json_number(e.seconds())
+      << ", \"rps\": " << obs::json_number(e.rps())
+      << ", \"queue_p50_seconds\": " << obs::json_number(quantile(e.queue_wait, 0.50))
+      << ", \"queue_p99_seconds\": " << obs::json_number(quantile(e.queue_wait, 0.99))
+      << ", \"e2e_p50_seconds\": " << obs::json_number(quantile(e.e2e, 0.50))
+      << ", \"e2e_p99_seconds\": " << obs::json_number(quantile(e.e2e, 0.99)) << "}"
       << (i + 1 < entries.size() ? "," : "") << "\n";
   }
   f << "  ],\n  \"metrics\": " << obs::metrics_json() << "\n}\n";
@@ -159,10 +166,29 @@ int main(int argc, char** argv) {
   const auto designs = make_designs(sz);
   IrFusionPipeline pipeline = train_pipeline(sz, designs);
   const int requests = static_cast<int>(designs.size()) * sz.rounds;
-  std::vector<Entry> entries;
+  const std::string checkpoint = "serve_throughput_model.irf";
+  save_checkpoint(pipeline, checkpoint);
 
-  // Baseline: a fresh end-to-end analyze per request, nothing shared.
-  {
+  // One engine per batch size, its cache warmed once; the batch-1 engine
+  // also times a cold pass (the engine-overhead datapoint) after clearing.
+  std::vector<std::unique_ptr<Engine>> engines;
+  Entry cold_direct{"cold_direct", 1, requests, false, {}, {}, {}};
+  Entry cold_engine{"cold_engine", 1, requests, false, {}, {}, {}};
+  std::vector<Entry> warm;
+  for (int batch : {1, 4, 16}) {
+    EngineOptions opts;
+    opts.max_batch = batch;
+    opts.queue_capacity = std::max(64, requests);
+    engines.push_back(Engine::from_checkpoint(checkpoint, opts));
+    warm.push_back({"warm_engine", batch, requests, true, {}, {}, {}});
+  }
+
+  // Interleaved rounds: per round the cold per-request loop and every
+  // engine configuration run back to back, so a slow spell of the host
+  // hits the modes of the round it falls in together.
+  std::vector<double> ratios;  ///< per round: cold seconds / best warm seconds
+  for (int k = 0; k < kRepetitions; ++k) {
+    // Baseline: a fresh end-to-end analyze per request, nothing shared.
     Stopwatch sw;
     for (int r = 0; r < sz.rounds; ++r) {
       for (const auto& d : designs) {
@@ -170,54 +196,39 @@ int main(int argc, char** argv) {
         if (map.data().empty()) std::abort();
       }
     }
-    const double s = sw.seconds();
-    entries.push_back({"cold_direct", 1, requests, false, s, requests / s});
-  }
+    cold_direct.pass_seconds.push_back(sw.seconds());
 
-  const std::string checkpoint = "serve_throughput_model.irf";
-  save_checkpoint(pipeline, checkpoint);
-
-  for (int batch : {1, 4, 16}) {
-    EngineOptions opts;
-    opts.max_batch = batch;
-    opts.queue_capacity = std::max(64, requests);
-    auto engine = Engine::from_checkpoint(checkpoint, opts);
-
-    // Cold pass at batch 1 doubles as the engine-overhead datapoint.
-    if (batch == 1) {
-      reset_latency_timers();
-      const double s = serve_rounds(*engine, designs, sz.rounds);
-      Entry e{"cold_engine", batch, requests, false, s, requests / s};
-      fill_quantiles(e);
-      entries.push_back(e);
-      engine->clear_cache();
+    engines.front()->clear_cache();
+    serve_rounds(*engines.front(), designs, sz.rounds, &cold_engine);
+    double best_warm_seconds = 0.0;
+    for (std::size_t b = 0; b < engines.size(); ++b) {
+      serve_rounds(*engines[b], designs, 1);  // fill the cache (all hits once warm)
+      serve_rounds(*engines[b], designs, sz.rounds, &warm[b]);
+      const double s = warm[b].pass_seconds.back();
+      if (b == 0 || s < best_warm_seconds) best_warm_seconds = s;
     }
-    // Warm the per-design cache, then measure steady state.
-    serve_rounds(*engine, designs, 1);
-    reset_latency_timers();
-    const double s = serve_rounds(*engine, designs, sz.rounds);
-    Entry e{"warm_engine", batch, requests, true, s, requests / s};
-    fill_quantiles(e);
-    entries.push_back(e);
+    ratios.push_back(cold_direct.pass_seconds.back() / best_warm_seconds);
   }
+  const double speedup = quantile(ratios, 0.5);
 
+  std::vector<Entry> entries = {cold_direct, cold_engine};
+  entries.insert(entries.end(), warm.begin(), warm.end());
   write_json(entries);
 
   std::cout << "mode          batch   requests   seconds      req/s   queue_p99   e2e_p99\n";
-  double cold_rps = 0.0, best_warm_rps = 0.0;
   bool quantiles_ok = true;
   for (const Entry& e : entries) {
+    const double queue_p99 = quantile(e.queue_wait, 0.99);
+    const double e2e_p99 = quantile(e.e2e, 0.99);
     std::printf("%-13s %5d %10d %9.4f %10.1f %11.6f %9.6f\n", e.mode.c_str(),
-                e.batch, e.requests, e.seconds, e.rps, e.queue_p99_seconds,
-                e.e2e_p99_seconds);
-    if (e.mode == "cold_direct") cold_rps = e.rps;
-    if (e.mode == "warm_engine") best_warm_rps = std::max(best_warm_rps, e.rps);
+                e.batch, e.requests, e.seconds(), e.rps(), queue_p99, e2e_p99);
     // Every engine-served mode must report real latency quantiles.
     if (e.mode != "cold_direct") {
-      quantiles_ok = quantiles_ok && e.queue_p99_seconds > 0.0 && e.e2e_p99_seconds > 0.0;
+      quantiles_ok = quantiles_ok && queue_p99 > 0.0 && e2e_p99 > 0.0;
     }
   }
-  std::cout << "warm/cold speedup: " << best_warm_rps / cold_rps << "x\n"
+  std::cout << "warm/cold speedup (median of " << kRepetitions << " rounds): " << speedup
+            << "x\n"
             << "wrote BENCH_serve_throughput.json\n";
   // The acceptance bar: warm-cache batched serving must beat the cold
   // per-request loop outright, and the latency quantiles must be live.
@@ -225,5 +236,5 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: an engine mode reported zero queue/e2e p99\n";
     return 1;
   }
-  return best_warm_rps > cold_rps ? 0 : 1;
+  return speedup > 1.0 ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 #include "pg/solve.hpp"
 
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -10,7 +11,8 @@ namespace irf::pg {
 
 PgSolver::PgSolver(const PgDesign& design, solver::AmgOptions amg_options)
     : design_(&design), mna_(assemble_mna(design.netlist)) {
-  solver_ = std::make_unique<solver::AmgPcgSolver>(mna_.conductance, amg_options);
+  solver_ = std::make_unique<solver::AmgPcgSolver>(std::move(mna_.conductance),
+                                                   amg_options);
 }
 
 PgSolution PgSolver::finalize(const solver::SolveResult& result) const {
@@ -88,15 +90,14 @@ void PgSolver::rebind(const PgDesign& design) {
   }
   // The sparsity guard inside update_matrix_values rejects any remaining
   // structural difference before the hierarchy is reused.
-  solver_->update_matrix_values(next.conductance);
+  solver_->update_matrix_values(std::move(next.conductance));
   mna_ = std::move(next);
   design_ = &design;
-  span.add_arg("rows", mna_.conductance.rows());
+  span.add_arg("rows", solver_->matrix().rows());
 }
 
 std::size_t PgSolver::memory_bytes() const {
-  std::size_t bytes = mna_.conductance.memory_bytes();
-  bytes += mna_.rhs.capacity() * sizeof(double);
+  std::size_t bytes = mna_.rhs.capacity() * sizeof(double);
   bytes += mna_.node_to_eq.capacity() * sizeof(int);
   bytes += mna_.eq_to_node.capacity() * sizeof(spice::NodeId);
   if (solver_) bytes += solver_->memory_bytes();

@@ -54,10 +54,13 @@ class PgSolver {
   void rebind(const PgDesign& design);
 
   const PgDesign& design() const { return *design_; }
-  const MnaSystem& system() const { return mna_; }
+  /// Equation index per netlist node (-1 for pad nodes).
+  const std::vector<int>& node_to_eq() const { return mna_.node_to_eq; }
+  /// The conductance matrix G lives here, as the outer PCG operator.
   const solver::AmgPcgSolver& amg_pcg() const { return *solver_; }
 
-  /// Heap bytes retained: MNA system + setup matrix + AMG hierarchy.
+  /// Heap bytes retained: rhs + node/equation maps + the AMG-PCG solver
+  /// (conductance matrix and hierarchy).
   std::size_t memory_bytes() const;
 
  private:
@@ -65,6 +68,8 @@ class PgSolver {
   linalg::Vec flat_supply_guess() const;
 
   const PgDesign* design_;
+  /// The assembled system minus its conductance, which is moved into
+  /// solver_ so the finest matrix is held once outside the hierarchy.
   MnaSystem mna_;
   std::unique_ptr<solver::AmgPcgSolver> solver_;
 };

@@ -84,7 +84,8 @@ struct StageTimings {
   double setup_seconds = 0.0;       ///< MNA assembly + AMG setup (cold) or rebind (warm)
   double solve_seconds = 0.0;       ///< rough / warm-started PCG iterations
   double feature_seconds = 0.0;     ///< feature extraction or delta refresh
-  double inference_seconds = 0.0;   ///< share of the batched model forward
+  double inference_seconds = 0.0;   ///< whole batched model forward (every request
+                                    ///< of the batch reports the same interval)
   double respond_seconds = 0.0;     ///< unattributed remainder before fulfilment
   double total_seconds = 0.0;       ///< submit -> promise fulfilled
 };
@@ -125,7 +126,7 @@ struct AnalysisResult {
 
   double queue_seconds = 0.0;      ///< time between submit and dequeue
   double numerical_seconds = 0.0;  ///< MNA + AMG + rough solve + features
-  double inference_seconds = 0.0;  ///< share of the batched model forward
+  double inference_seconds = 0.0;  ///< whole batched model forward (= stages.inference_seconds)
   StageTimings stages;             ///< full per-stage latency breakdown
 
   /// Convergence telemetry of the numerical stage that produced `rough`

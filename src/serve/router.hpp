@@ -11,30 +11,26 @@
 /// shard-local: sharding never splits a design's amortizable state, it
 /// only partitions the population's working set across shards.
 ///
+/// Every request runs on the shard that admitted it, `shard_for(design)`:
+/// no request ever moves between shards, so a served map depends only on
+/// the design and the shard's own cache, exactly as under a single Engine.
+///
 /// On top of plain routing the Router adds:
 ///
 ///  * admission control — per-request Priority classes with per-class
 ///    queue quotas and shed-lowest-first on saturation (mechanism lives in
 ///    Engine::submit_impl; the Router configures and aggregates it);
-///  * batch coalescing across shards — a shard that wakes to an empty
-///    queue steals up to a batch-worth of pending work from the hottest
-///    sibling (`router.mutex_ < engine.mutex_` lock order, verified by
-///    irf_analyze). Stolen requests keep their tickets, deadlines and
-///    cancellation flags; results are bit-identical to unstolen execution
-///    (tests/test_serve.cpp pins it);
 ///  * aggregated observability — Engine-compatible stats() plus a
-///    per-shard breakdown, `serve.shard.s<i>.*` gauges and
-///    `serve.router.*` counters (docs/OBSERVABILITY.md).
+///    per-shard breakdown, `serve.shard.s<i>.*` gauges and the
+///    `serve.router.requests` counter (docs/OBSERVABILITY.md).
 ///
 /// The Router exposes the same submit/try_submit/analyze/stats/queue_depth
 /// surface as Engine, so callers scale from one engine to N shards by
 /// swapping the type. Ticket ids stay globally unique (shard i issues
-/// i+1, i+1+N, ...), and cancel() finds a request wherever stealing may
-/// have moved it.
+/// i+1, i+1+N, ...), so cancel() goes straight to the owning shard.
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -50,29 +46,17 @@ namespace irf::serve {
 struct RouterOptions {
   int num_shards = 2;
   EngineOptions engine;
-
-  /// Work stealing: an idle shard pulls up to max_batch pending requests
-  /// from the hottest sibling instead of sleeping. Affinity is a cache
-  /// optimization, not a correctness requirement, so moving queued work to
-  /// an idle dispatcher is always safe — just potentially a cache miss.
-  bool enable_stealing = true;
-
-  /// Only steal when the hottest sibling has at least this many queued
-  /// requests; below that the victim's own dispatcher is about to drain
-  /// them anyway and the move would only forfeit cache affinity.
-  int steal_min_depth = 2;
 };
 
-/// Aggregated engine counters plus the per-shard breakdown and the
-/// router's own steal bookkeeping. Note that stealing moves a request's
-/// completion to the thief shard: per-shard `completed` can exceed
-/// per-shard `submitted`, while every aggregate invariant
-/// (total.completed <= total.submitted, sums matching) still holds.
+/// Aggregated engine counters plus the per-shard breakdown. Work never
+/// leaves its admitting shard, so per-shard `completed <= submitted` holds
+/// like the aggregate one.
 struct RouterStats {
   EngineStats total;
   std::vector<EngineStats> shards;
-  std::uint64_t steals = 0;            ///< steal operations that moved work
-  std::uint64_t stolen_requests = 0;   ///< requests moved across shards
+  /// Always 0: requests never move between shards. Kept only because the
+  /// traced benchmark still reports this field as a per-layer metric.
+  std::uint64_t stolen_requests = 0;
 };
 
 class Router {
@@ -92,10 +76,6 @@ class Router {
   static std::unique_ptr<Router> from_checkpoint(const std::string& path,
                                                  RouterOptions options = {});
 
-  /// Stops every shard's dispatcher before destroying any engine — the
-  /// join is what guarantees no steal callback can touch a dead sibling.
-  ~Router();
-
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
@@ -110,8 +90,7 @@ class Router {
   /// Synchronous convenience: copies the design, submits, waits.
   AnalysisResult analyze(const pg::PgDesign& design);
 
-  /// Cancel by ticket id. Checks the admitting shard first, then every
-  /// sibling — stealing may have moved the request.
+  /// Cancel by ticket id on the shard that admitted it (encoded in the id).
   bool cancel(std::uint64_t id);
 
   /// Pause/resume dispatch on every shard.
@@ -119,10 +98,10 @@ class Router {
   void resume();
 
   /// Engine-compatible aggregated counters (also refreshes the
-  /// serve.shard.* gauges and the serve.router.shed counter).
+  /// serve.shard.* gauges).
   EngineStats stats() const;
 
-  /// Aggregate + per-shard breakdown + steal counters.
+  /// Aggregate + per-shard breakdown.
   RouterStats router_stats() const;
 
   /// Total queued requests across shards.
@@ -144,27 +123,10 @@ class Router {
  private:
   void wire_shards();
   EngineOptions shard_options(int index) const;
-  /// Steal callback for shard `thief`: runs on that shard's dispatcher
-  /// thread with no engine lock held.
-  void steal_for(int thief);
 
   RouterOptions options_;
-
-  // Steal serialization + router counters. Held while probing sibling
-  // queue depths and moving work, i.e. above the engines' queue locks.
-  // irf-lock-order: router.mutex_ < engine.mutex_
-  mutable std::mutex mutex_;
-  std::uint64_t steals_ = 0;
-  std::uint64_t stolen_requests_ = 0;
-  /// serve.router.shed is emitted as a delta against the last aggregate
-  /// observation (counters are monotonic; sheds happen inside shards).
-  mutable std::uint64_t shed_reported_ = 0;
-
   std::vector<std::string> shard_queue_gauges_;  ///< serve.shard.s<i>.queue.depth
   std::vector<std::string> shard_cache_gauges_;  ///< serve.shard.s<i>.cache.bytes
-
-  // Destroyed first (reverse member order): every engine joins its
-  // dispatcher inside ~Router before the fields above go away.
   std::vector<std::unique_ptr<Engine>> shards_;
 };
 

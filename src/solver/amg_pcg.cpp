@@ -1,13 +1,15 @@
 #include "solver/amg_pcg.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace irf::solver {
 
-AmgPcgSolver::AmgPcgSolver(const linalg::CsrMatrix& a, AmgOptions amg_options)
-    : matrix_(a) {
+AmgPcgSolver::AmgPcgSolver(linalg::CsrMatrix a, AmgOptions amg_options)
+    : matrix_(std::move(a)) {
   obs::ScopedSpan span("amg_setup", "solver");
   hierarchy_ = std::make_unique<AmgHierarchy>(matrix_, amg_options);
   span.add_arg("rows", matrix_.rows());
@@ -47,7 +49,7 @@ SolveResult AmgPcgSolver::solve_warm(const linalg::Vec& b, const linalg::Vec& x0
   return solve(b, options, &x0);
 }
 
-void AmgPcgSolver::update_matrix_values(const linalg::CsrMatrix& a) {
+void AmgPcgSolver::update_matrix_values(linalg::CsrMatrix a) {
   // Hierarchy reuse guard: the frozen preconditioner is only meaningful when
   // the new operator lives on the same sparsity pattern the setup stage saw.
   if (a.rows() != matrix_.rows() || a.cols() != matrix_.cols() ||
@@ -58,7 +60,7 @@ void AmgPcgSolver::update_matrix_values(const linalg::CsrMatrix& a) {
   }
   // Only the outer PCG operator changes; the hierarchy (with its own copy of
   // the setup matrix and the smoothers' diagonals) stays frozen.
-  matrix_.mutable_values() = a.values();
+  matrix_ = std::move(a);
   obs::count("solver.hierarchy_reuses");
 }
 

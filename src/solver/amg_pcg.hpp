@@ -17,8 +17,10 @@ namespace irf::solver {
 
 class AmgPcgSolver {
  public:
-  /// Runs the AMG setup stage on `a`. The matrix is copied into the hierarchy.
-  explicit AmgPcgSolver(const linalg::CsrMatrix& a, AmgOptions amg_options = {});
+  /// Runs the AMG setup stage on `a` and keeps `a` as the outer PCG
+  /// operator. The hierarchy's finest level holds its own copy, which stays
+  /// at the setup values across update_matrix_values().
+  explicit AmgPcgSolver(linalg::CsrMatrix a, AmgOptions amg_options = {});
 
   /// Solve A x = b under the given iteration/tolerance controls. `x0` is an
   /// optional warm start (PG analysis uses the flat supply voltage).
@@ -46,12 +48,15 @@ class AmgPcgSolver {
   /// residuals are always measured against the NEW matrix. Throws
   /// NumericError when `a`'s sparsity pattern differs from the setup matrix,
   /// which is the guard against reusing a hierarchy across topology changes.
-  void update_matrix_values(const linalg::CsrMatrix& a);
+  void update_matrix_values(linalg::CsrMatrix a);
 
+  /// The outer PCG operator: the setup matrix, or the last
+  /// update_matrix_values() argument.
+  const linalg::CsrMatrix& matrix() const { return matrix_; }
   const AmgHierarchy& hierarchy() const { return *hierarchy_; }
   double setup_seconds() const { return setup_seconds_; }
 
-  /// Heap bytes retained by the setup matrix and the AMG hierarchy.
+  /// Heap bytes retained by the outer operator and the AMG hierarchy.
   std::size_t memory_bytes() const;
 
  private:

@@ -310,7 +310,7 @@ TEST(PgSolver, RebindRejectsTopologyChange) {
   // off-diagonal nonzero, so the sparsity pattern no longer matches the
   // frozen hierarchy. (Between adjacent nodes it would merge into an
   // existing entry and legitimately rebind as a value edit.)
-  const std::vector<int>& node_to_eq = solver.system().node_to_eq;
+  const std::vector<int>& node_to_eq = solver.node_to_eq();
   spice::NodeId a = -1, b = -1;
   for (spice::NodeId n = 0; n < d.netlist.num_nodes(); ++n) {
     if (node_to_eq[n] >= 0) { a = n; break; }

@@ -11,6 +11,7 @@
 #include <memory>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include <limits>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "common/error.hpp"
 #include "features/extractor.hpp"
@@ -890,7 +892,7 @@ TEST(EngineAdmission, ClassQuotaRejectsAtAdmission) {
   request.priority = Priority::kInteractive;
   Engine::Ticket admitted = engine.submit(request);
   // Quota exhausted: both submit flavours resolve the ticket as kShed
-  // immediately instead of blocking or stealing shared capacity.
+  // immediately instead of blocking or taking shared capacity.
   AnalysisResult over = engine.submit(request).result.get();
   EXPECT_EQ(over.status, ResultStatus::kShed);
   EXPECT_NE(over.error.find("quota"), std::string::npos);
@@ -986,9 +988,6 @@ TEST(RouterValidation, RejectsBadOptions) {
   RouterOptions opts;
   opts.num_shards = 0;
   EXPECT_THROW(Router{opts}, ConfigError);
-  opts = RouterOptions{};
-  opts.steal_min_depth = 0;
-  EXPECT_THROW(Router{opts}, ConfigError);
 }
 
 TEST_F(ServeFixture, RouterShardAffinityAndBitIdentity) {
@@ -1025,56 +1024,68 @@ TEST_F(ServeFixture, RouterShardAffinityAndBitIdentity) {
   EXPECT_GE(rs.total.cache_hits, designs.size());
 }
 
-TEST_F(ServeFixture, RouterStealsFromSaturatedSiblingBitIdentically) {
+TEST_F(ServeFixture, RouterServesRepeatAfterEcoOnOwnerBitIdentically) {
+  // A repeat of a design after a warm-served eco variant of it must come
+  // back from the owner's exact cache entry: bit-identical to a direct
+  // analyze, never warm-served off the variant. Shard 0 is held paused for
+  // 100 ms while each wave queues on it and shard 1 drains its own share
+  // and sits idle, so a request that could leave its shard would.
   RouterOptions ropts;
   ropts.num_shards = 2;
-  ropts.engine.enable_warm_start = false;
-  ropts.steal_min_depth = 2;
   auto router = Router::from_checkpoint(*checkpoint_path_, ropts);
 
-  const auto designs = distinct_topology_designs(4);
-  ASSERT_GE(designs.size(), 1u);
-  const auto& design = designs.front();
-  const int owner = router->shard_for(*design);
-  const int thief = 1 - owner;
-
-  EngineOptions eopts;
-  eopts.enable_warm_start = false;
-  auto reference = Engine::from_checkpoint(*checkpoint_path_, eopts);
-  const GridF expected = reference->analyze(*design).ir_drop;
-
-  // Freeze the owning shard so its queue backs up; the idle sibling must
-  // steal the backlog and serve it — bit-identically, since every shard
-  // holds the same weights.
-  router->shard(owner).pause();
-  std::vector<Engine::Ticket> tickets;
-  for (int i = 0; i < 6; ++i) {
-    AnalysisRequest request;
-    request.design = design;
-    tickets.push_back(router->submit(std::move(request)));
+  const auto originals = distinct_topology_designs(6);
+  ASSERT_GE(std::count_if(originals.begin(), originals.end(),
+                          [&](const auto& d) { return router->shard_for(*d) == 0; }),
+            2);
+  std::vector<std::shared_ptr<pg::PgDesign>> variants;
+  for (const auto& d : originals) {
+    auto v = std::make_shared<pg::PgDesign>(*d);
+    v->name += "_eco";
+    v->netlist.scale_current_sources(1.001);
+    variants.push_back(std::move(v));
   }
-  for (Engine::Ticket& t : tickets) {
-    AnalysisResult r = t.result.get();
+
+  std::vector<std::shared_ptr<pg::PgDesign>> sent;
+  std::vector<AnalysisResult> served;
+  using Wave = std::vector<std::shared_ptr<pg::PgDesign>>;
+  for (const Wave* wave : {&originals, &std::as_const(variants), &originals}) {
+    router->shard(0).pause();
+    std::vector<Engine::Ticket> tickets;
+    for (const auto& d : *wave) {
+      AnalysisRequest request;
+      request.design = d;
+      tickets.push_back(router->submit(std::move(request)));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    router->shard(0).resume();
+    for (Engine::Ticket& t : tickets) served.push_back(t.result.get());
+    sent.insert(sent.end(), wave->begin(), wave->end());
+  }
+
+  std::size_t warm = 0;
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    const AnalysisResult& r = served[i];
     ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_EQ(r.shard, thief);  // the owner never ran
-    EXPECT_EQ(r.ir_drop.data(), expected.data());
+    EXPECT_EQ(r.shard, router->shard_for(*sent[i])) << "request " << i;
+    if (r.warm_start) {
+      ++warm;
+      continue;
+    }
+    EXPECT_EQ(r.ir_drop.data(), pipeline_->analyze(*sent[i]).data())
+        << "request " << i << " (" << sent[i]->name << ")";
   }
-  router->shard(owner).resume();
-
-  const RouterStats rs = router->router_stats();
-  EXPECT_GE(rs.steals, 1u);
-  EXPECT_EQ(rs.stolen_requests, 6u);
-  // Per-shard asymmetry is expected (the owner admitted, the thief
-  // completed); the aggregate invariant must still hold.
-  EXPECT_EQ(rs.shards[static_cast<std::size_t>(owner)].submitted, 6u);
-  EXPECT_GE(rs.shards[static_cast<std::size_t>(thief)].completed, 6u);
-  EXPECT_LE(rs.total.completed, rs.total.submitted);
+  EXPECT_GE(warm, 1u);  // the eco wave exercised the warm path
+  // The last wave repeats the first: every one of its requests is a hit.
+  for (std::size_t i = 2 * originals.size(); i < sent.size(); ++i) {
+    EXPECT_TRUE(served[i].cache_hit) << "request " << i;
+    EXPECT_FALSE(served[i].warm_start) << "request " << i;
+  }
 }
 
 TEST(RouterStats, AggregateMatchesPerShardBreakdown) {
   RouterOptions ropts;
   ropts.num_shards = 2;
-  ropts.enable_stealing = false;  // keep per-shard attribution exact
   Router router(ropts);  // model-less: every request degrades, cheaply
 
   const auto designs = distinct_topology_designs(4);
@@ -1110,6 +1121,8 @@ TEST(RouterStats, AggregateMatchesPerShardBreakdown) {
   EXPECT_EQ(rs.total.degraded, sum.degraded);
   EXPECT_EQ(rs.total.cache_hits, sum.cache_hits);
   EXPECT_EQ(rs.total.cache_misses, sum.cache_misses);
+  // Work never leaves the shard that admitted it.
+  for (const EngineStats& s : rs.shards) EXPECT_EQ(s.completed, s.submitted);
   EXPECT_EQ(rs.total.submitted, tickets.size());
   EXPECT_EQ(rs.total.completed, tickets.size());
   EXPECT_LE(rs.total.completed, rs.total.submitted);
@@ -1118,17 +1131,20 @@ TEST(RouterStats, AggregateMatchesPerShardBreakdown) {
   EXPECT_EQ(router.queue_depth(), 0);
 }
 
-TEST(RouterRobustness, CancelFindsRequestAfterSteal) {
+TEST(RouterRobustness, CancelReachesOwningShard) {
   RouterOptions ropts;
   ropts.num_shards = 2;
   ropts.engine.start_paused = true;
-  ropts.enable_stealing = false;
   Router router(ropts);
   const auto designs = distinct_topology_designs(2);
   ASSERT_GE(designs.size(), 1u);
   AnalysisRequest request;
   request.design = designs.front();
+  const int owner = router.shard_for(*request.design);
   Engine::Ticket ticket = router.submit(std::move(request));
+  // The strided id names the owner, which holds the queued request.
+  EXPECT_EQ(static_cast<int>((ticket.id - 1) % 2), owner);
+  EXPECT_EQ(router.shard(owner).queue_depth(), 1);
   EXPECT_TRUE(router.cancel(ticket.id));
   EXPECT_FALSE(router.cancel(ticket.id + 12345));
   router.resume();

@@ -9,6 +9,9 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "linalg/dense.hpp"
+#include "pg/generator.hpp"
+#include "pg/mna.hpp"
+#include "pg/solve.hpp"
 #include "solver/aggregation.hpp"
 #include "solver/amg.hpp"
 #include "solver/amg_pcg.hpp"
@@ -317,6 +320,36 @@ TEST(Amg, MemoryBytesCountsSmootherDiagonals) {
   without_diagonals += coarse_n * coarse_n * sizeof(double);
   EXPECT_GE(diagonals, rows * (sizeof(int) + sizeof(double)));
   EXPECT_EQ(h.memory_bytes(), without_diagonals + diagonals);
+}
+
+TEST(Amg, PgSolverMemoryBytesCountsTheConductanceOnceOutsideTheHierarchy) {
+  // The conductance matrix is moved into the AMG-PCG solver as its outer
+  // operator: besides the hierarchy's finest level (which keeps the setup
+  // values across a rebind) PgSolver holds it exactly once.
+  Rng rng(31);
+  pg::PgDesign d = pg::generate_fake_design(32, rng, "memory_bytes");
+  pg::PgSolver solver(d);
+  const pg::MnaSystem sys = pg::assemble_mna(d.netlist);
+  const std::size_t maps = sys.rhs.capacity() * sizeof(double) +
+                           sys.node_to_eq.capacity() * sizeof(int) +
+                           sys.eq_to_node.capacity() * sizeof(spice::NodeId);
+  const AmgPcgSolver& amg_pcg = solver.amg_pcg();
+  EXPECT_EQ(amg_pcg.memory_bytes(),
+            amg_pcg.matrix().memory_bytes() + amg_pcg.hierarchy().memory_bytes());
+  EXPECT_EQ(solver.memory_bytes(), maps + amg_pcg.memory_bytes());
+  EXPECT_EQ(amg_pcg.matrix().values(), sys.conductance.values());
+  EXPECT_EQ(amg_pcg.hierarchy().level(0).matrix.values(), sys.conductance.values());
+
+  // A rebind swaps the outer operator's values, leaves level 0 at the
+  // setup values and keeps the accounting.
+  pg::PgDesign edited = d;
+  edited.netlist.set_resistor_ohms(0, d.netlist.resistors()[0].ohms * 1.5);
+  solver.rebind(edited);
+  const linalg::Vec edited_values = pg::assemble_mna(edited.netlist).conductance.values();
+  ASSERT_NE(edited_values, sys.conductance.values());
+  EXPECT_EQ(amg_pcg.matrix().values(), edited_values);
+  EXPECT_EQ(amg_pcg.hierarchy().level(0).matrix.values(), sys.conductance.values());
+  EXPECT_EQ(solver.memory_bytes(), maps + amg_pcg.memory_bytes());
 }
 
 TEST(AmgPcg, RebindConvergesAgainstNewValues) {

@@ -132,7 +132,6 @@ const cli::CommandSpec kServeLoadSpec = {
         {"timeout-seconds", "", "T", "per-request deadline (0 = none)"},
         {"interactive-pct", "", "P", "percent of requests tagged kInteractive"},
         {"batch-pct", "", "P", "percent of requests tagged kBatch (shed first)"},
-        {"steal", "", "0|1", "idle-shard work stealing (default on)"},
         {"seed", "", "S", "arrival-schedule seed"},
     }};
 
@@ -390,7 +389,6 @@ int cmd_serve_load(const cli::ParsedArgs& args) {
   const std::string dir = args.require("designs");
   RouterOptions ropts;
   ropts.num_shards = args.flag_int_at_least("shards", 2, 1);
-  ropts.enable_stealing = args.flag_int("steal", 1) != 0;
   ropts.engine.max_batch = args.flag_int_at_least("batch", 8, 1);
   ropts.engine.queue_capacity = std::max(64, ropts.engine.max_batch * 4);
   ropts.engine.cache_budget_bytes =
@@ -484,8 +482,7 @@ int cmd_serve_load(const cli::ParsedArgs& args) {
               << " shed, " << other << " other";
   obs::info() << "latency from scheduled arrival: p50 " << quantile(0.5) * 1e3
               << " ms, p99 " << quantile(0.99) * 1e3 << " ms";
-  obs::info() << "router: " << rs.steals << " steals (" << rs.stolen_requests
-              << " requests moved), " << rs.total.shed << " shed, "
+  obs::info() << "router: " << rs.total.shed << " shed, "
               << rs.total.cache_hits << " cache hits / " << rs.total.cache_misses
               << " misses";
   for (std::size_t i = 0; i < rs.shards.size(); ++i) {
