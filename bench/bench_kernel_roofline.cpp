@@ -1,6 +1,6 @@
 // Roofline-style kernel benchmark for the solver's hot loops. Times the CSR
 // SpMV (CsrMatrix::multiply) and the irf::simd fp64 range kernels (dot,
-// axpy, xpby, jacobi_update), the latter with the SIMD dispatch off (scalar
+// axpy, xpby), the latter with the SIMD dispatch off (scalar
 // fallback tier) and on (widest ISA tier), recording seconds/rep, GF/s and
 // bytes/rep so the numbers can be placed against the machine's roofline.
 //
@@ -12,7 +12,6 @@
 // bandwidth.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -71,10 +70,8 @@ void run_vector_kernels(const Sizes& sz, bool simd_on, std::vector<KernelEntry>&
   const std::int64_t n = sz.vec_n;
   Rng rng(7);
   linalg::Vec a(static_cast<std::size_t>(n)), b(static_cast<std::size_t>(n));
-  linalg::Vec diag(static_cast<std::size_t>(n));
   for (auto& v : a) v = rng.normal();
   for (auto& v : b) v = rng.normal();
-  for (auto& v : diag) v = 1.0 + std::abs(rng.normal());
   const double dn = static_cast<double>(n);
 
   {
@@ -95,14 +92,6 @@ void run_vector_kernels(const Sizes& sz, bool simd_on, std::vector<KernelEntry>&
       for (int i = 0; i < sz.vec_inner; ++i) linalg::xpby(a, 0.5, b);
     });
     out.push_back({"xpby", layout, sz.reps, s / sz.vec_inner, 2 * dn, 24 * dn});
-  }
-  {
-    const double s = best_of(sz.reps, [&] {
-      for (int i = 0; i < sz.vec_inner; ++i) {
-        simd::jacobi_update(a.data(), diag.data(), 0.7, b.data(), n);
-      }
-    });
-    out.push_back({"jacobi_update", layout, sz.reps, s / sz.vec_inner, 3 * dn, 32 * dn});
   }
 }
 

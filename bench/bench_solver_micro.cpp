@@ -54,7 +54,7 @@ BENCHMARK(BM_SymmetricGaussSeidel)->Arg(32)->Arg(64);
 void BM_AmgSetup(benchmark::State& state) {
   const pg::MnaSystem& sys = system_for(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    solver::AmgHierarchy amg(sys.conductance, {});
+    solver::AmgHierarchy amg(sys.conductance);
     benchmark::DoNotOptimize(amg.num_levels());
   }
 }
@@ -62,7 +62,7 @@ BENCHMARK(BM_AmgSetup)->Arg(32)->Arg(64);
 
 void BM_KCycleApply(benchmark::State& state) {
   const pg::MnaSystem& sys = system_for(static_cast<int>(state.range(0)));
-  solver::AmgHierarchy amg(sys.conductance, {});
+  solver::AmgHierarchy amg(sys.conductance);
   linalg::Vec z;
   for (auto _ : state) {
     amg.apply(sys.rhs, z);

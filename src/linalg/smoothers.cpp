@@ -1,10 +1,8 @@
 #include "linalg/smoothers.hpp"
 
-#include <cmath>
+#include <string>
 
 #include "common/error.hpp"
-#include "par/par.hpp"
-#include "simd/simd.hpp"
 
 namespace irf::linalg {
 
@@ -15,8 +13,7 @@ void check_sizes(const CsrMatrix& a, const SmootherDiagonal& d, const Vec& b,
   if (static_cast<int>(b.size()) != a.rows() || static_cast<int>(x.size()) != a.rows()) {
     throw DimensionError("smoother vector size mismatch");
   }
-  if (static_cast<int>(d.index.size()) != a.rows() ||
-      static_cast<int>(d.values.size()) != a.rows()) {
+  if (static_cast<int>(d.index.size()) != a.rows()) {
     throw DimensionError("smoother diagonal size mismatch");
   }
 }
@@ -25,15 +22,12 @@ void check_sizes(const CsrMatrix& a, const SmootherDiagonal& d, const Vec& b,
 SmootherDiagonal SmootherDiagonal::of(const CsrMatrix& a) {
   const auto& rp = a.row_ptr();
   const auto& ci = a.col_idx();
-  const auto& v = a.values();
   SmootherDiagonal d;
   d.index.assign(static_cast<std::size_t>(a.rows()), -1);
-  d.values.assign(static_cast<std::size_t>(a.rows()), 0.0);
   for (int r = 0; r < a.rows(); ++r) {
     for (int k = rp[r]; k < rp[r + 1]; ++k) {
       if (ci[k] == r) {
         d.index[static_cast<std::size_t>(r)] = k;
-        d.values[static_cast<std::size_t>(r)] = v[static_cast<std::size_t>(k)];
         break;
       }
     }
@@ -42,28 +36,7 @@ SmootherDiagonal SmootherDiagonal::of(const CsrMatrix& a) {
 }
 
 std::size_t SmootherDiagonal::memory_bytes() const {
-  return index.capacity() * sizeof(int) + values.capacity() * sizeof(double);
-}
-
-void jacobi_sweep(const CsrMatrix& a, const SmootherDiagonal& d, const Vec& b, Vec& x,
-                  double omega) {
-  check_sizes(a, d, b, x);
-  // Jacobi reads the old iterate everywhere, so rows update independently:
-  // this is the parallel-safe relaxation (Gauss-Seidel below is sequential
-  // by construction). The residual SpMV parallelizes inside multiply(); a
-  // zero scan up front keeps the update loop itself branch-free, so it
-  // vectorizes (simd::jacobi_update).
-  Vec r = subtract(b, a.multiply(x));
-  const Vec& diag = d.values;
-  for (int i = 0; i < a.rows(); ++i) {
-    if (diag[i] == 0.0) {
-      throw NumericError("jacobi: zero diagonal at row " + std::to_string(i));
-    }
-  }
-  par::parallel_for(0, a.rows(), par::kRowGrain, [&](std::int64_t lo, std::int64_t hi) {
-    simd::jacobi_update(r.data() + lo, diag.data() + lo, omega, x.data() + lo,
-                        hi - lo);
-  });
+  return index.capacity() * sizeof(int);
 }
 
 namespace {

@@ -2,7 +2,7 @@
 
 /// \file par.hpp
 /// Work-sharing runtime for the hot numerical paths (SpMV, PCG vector ops,
-/// Jacobi relaxation, im2col/GEMM convolutions, feature fan-out).
+/// im2col/GEMM convolutions, feature fan-out).
 ///
 /// Design contract (see docs/PERFORMANCE.md):
 ///
@@ -55,7 +55,7 @@ int parse_threads_env(const char* value);
 inline constexpr std::int64_t kVecGrain = 1 << 13;
 /// Default chunk size for reductions (dot products, loss sums).
 inline constexpr std::int64_t kReduceGrain = 1 << 12;
-/// Default chunk size for sparse row loops (SpMV, Jacobi).
+/// Default chunk size for sparse row loops (SpMV).
 inline constexpr std::int64_t kRowGrain = 512;
 
 namespace detail {

@@ -29,8 +29,7 @@ struct PgSolution {
 /// across value-only design edits without repeating the setup stage.
 class PgSolver {
  public:
-  explicit PgSolver(const PgDesign& design,
-                    solver::AmgOptions amg_options = {});
+  explicit PgSolver(const PgDesign& design);
 
   /// Solve to a tight tolerance (golden label quality).
   PgSolution solve_golden(double rel_tolerance = 1e-10) const;

@@ -128,9 +128,5 @@ void scale(double* a, double alpha, std::int64_t n) {
 void subtract(const double* a, const double* b, double* out, std::int64_t n) {
   detail::table().subtract(a, b, out, n);
 }
-void jacobi_update(const double* r, const double* diag, double omega, double* x,
-                   std::int64_t n) {
-  detail::table().jacobi_update(r, diag, omega, x, n);
-}
 
 }  // namespace irf::simd

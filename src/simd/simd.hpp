@@ -72,10 +72,6 @@ void scale(double* a, double alpha, std::int64_t n);
 /// out[i] = a[i] - b[i].
 void subtract(const double* a, const double* b, double* out, std::int64_t n);
 
-/// x[i] += omega * r[i] / diag[i]  (the weighted-Jacobi update).
-void jacobi_update(const double* r, const double* diag, double omega, double* x,
-                   std::int64_t n);
-
 namespace detail {
 
 /// Per-tier function table; kernels.inc instantiates one per tier TU.
@@ -85,8 +81,6 @@ struct KernelTable {
   void (*xpby)(const double*, double, double*, std::int64_t) = nullptr;
   void (*scale)(double*, double, std::int64_t) = nullptr;
   void (*subtract)(const double*, const double*, double*, std::int64_t) = nullptr;
-  void (*jacobi_update)(const double*, const double*, double, double*, std::int64_t) =
-      nullptr;
 };
 
 const KernelTable& baseline_table();

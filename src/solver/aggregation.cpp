@@ -10,7 +10,12 @@ namespace irf::solver {
 using linalg::CsrMatrix;
 using linalg::Vec;
 
-Aggregation pairwise_aggregate(const CsrMatrix& a, double strength_threshold) {
+namespace {
+/// Strength-of-coupling threshold (beta in the literature).
+constexpr double kStrengthThreshold = 0.25;
+}  // namespace
+
+Aggregation pairwise_aggregate(const CsrMatrix& a) {
   if (a.rows() != a.cols()) throw DimensionError("aggregation needs a square matrix");
   const int n = a.rows();
   const auto& rp = a.row_ptr();
@@ -44,7 +49,7 @@ Aggregation pairwise_aggregate(const CsrMatrix& a, double strength_threshold) {
       if (j == i || agg.aggregate_of[j] >= 0) continue;
       const double coupling = -v[k];
       if (coupling <= 0.0) continue;
-      if (coupling < strength_threshold * strongest) continue;
+      if (coupling < kStrengthThreshold * strongest) continue;
       if (coupling > best_val) {
         best_val = coupling;
         best = j;
@@ -70,11 +75,11 @@ Aggregation compose(const Aggregation& first, const Aggregation& second) {
 }
 }  // namespace
 
-Aggregation double_pairwise_aggregate(const CsrMatrix& a, double strength_threshold) {
-  Aggregation first = pairwise_aggregate(a, strength_threshold);
+Aggregation double_pairwise_aggregate(const CsrMatrix& a) {
+  Aggregation first = pairwise_aggregate(a);
   if (first.num_aggregates == a.rows()) return first;  // no coarsening possible
   CsrMatrix mid = galerkin_coarse_matrix(a, first);
-  Aggregation second = pairwise_aggregate(mid, strength_threshold);
+  Aggregation second = pairwise_aggregate(mid);
   return compose(first, second);
 }
 

@@ -19,14 +19,13 @@ struct Aggregation {
   int num_aggregates = 0;
 };
 
-/// Single pairwise pass. `strength_threshold` (beta in the literature) keeps
-/// only couplings with a_ij <= -beta * max_k(-a_ik) as pairing candidates.
-Aggregation pairwise_aggregate(const linalg::CsrMatrix& a, double strength_threshold = 0.25);
+/// Single pairwise pass. Only strong couplings, a_ij <= -beta * max_k(-a_ik)
+/// with the strength threshold beta = 0.25, are pairing candidates.
+Aggregation pairwise_aggregate(const linalg::CsrMatrix& a);
 
 /// Two pairwise passes composed (aggregates of size <= 4), as used by
 /// aggregation-based AMG codes for mesh-like matrices.
-Aggregation double_pairwise_aggregate(const linalg::CsrMatrix& a,
-                                      double strength_threshold = 0.25);
+Aggregation double_pairwise_aggregate(const linalg::CsrMatrix& a);
 
 /// Galerkin coarse operator A_c = P^T A P for the piecewise-constant
 /// prolongation P induced by the aggregation.

@@ -13,18 +13,34 @@ namespace irf::solver {
 using linalg::CsrMatrix;
 using linalg::Vec;
 
-AmgHierarchy::AmgHierarchy(const CsrMatrix& a, AmgOptions options)
-    : options_(options) {
+namespace {
+
+constexpr AmgConfig kConfig{
+    .coarsest_size = 64,
+    .max_levels = 20,
+    .pre_smooth = 1,
+    .post_smooth = 1,
+};
+
+void smooth(const AmgLevel& level, const Vec& r, Vec& z, int sweeps) {
+  for (int s = 0; s < sweeps; ++s) {
+    linalg::symmetric_gauss_seidel(level.matrix, level.diagonal, r, z);
+  }
+}
+
+}  // namespace
+
+const AmgConfig& AmgHierarchy::options() { return kConfig; }
+
+AmgHierarchy::AmgHierarchy(const CsrMatrix& a) {
   if (a.rows() != a.cols()) throw DimensionError("AMG needs a square matrix");
   if (a.rows() == 0) throw DimensionError("AMG needs a non-empty matrix");
 
   levels_.push_back(AmgLevel{a, std::nullopt, {}});
-  while (static_cast<int>(levels_.size()) < options_.max_levels &&
-         levels_.back().matrix.rows() > options_.coarsest_size) {
+  while (static_cast<int>(levels_.size()) < kConfig.max_levels &&
+         levels_.back().matrix.rows() > kConfig.coarsest_size) {
     const CsrMatrix& fine = levels_.back().matrix;
-    Aggregation agg = options_.double_pairwise
-                          ? double_pairwise_aggregate(fine, options_.strength_threshold)
-                          : pairwise_aggregate(fine, options_.strength_threshold);
+    Aggregation agg = double_pairwise_aggregate(fine);
     if (agg.num_aggregates >= fine.rows()) break;  // stalled: stop coarsening
     CsrMatrix coarse = galerkin_coarse_matrix(fine, agg);
     levels_.back().to_coarse = std::move(agg);
@@ -83,16 +99,6 @@ void AmgHierarchy::apply(const Vec& r, Vec& z) {
   cycle(0, r, z);
 }
 
-void AmgHierarchy::smooth(const AmgLevel& level, const Vec& r, Vec& z, int sweeps) {
-  for (int s = 0; s < sweeps; ++s) {
-    if (options_.smoother == SmootherType::kJacobi) {
-      linalg::jacobi_sweep(level.matrix, level.diagonal, r, z, options_.jacobi_omega);
-    } else {
-      linalg::symmetric_gauss_seidel(level.matrix, level.diagonal, r, z);
-    }
-  }
-}
-
 void AmgHierarchy::cycle(int level, const Vec& r, Vec& z) {
   const CsrMatrix& a = levels_[level].matrix;
   if (!levels_[level].to_coarse.has_value()) {
@@ -100,7 +106,7 @@ void AmgHierarchy::cycle(int level, const Vec& r, Vec& z) {
     return;
   }
   z.assign(r.size(), 0.0);
-  smooth(levels_[level], r, z, options_.pre_smooth);
+  smooth(levels_[level], r, z, kConfig.pre_smooth);
 
   // Restrict the residual and recurse.
   Vec residual = linalg::subtract(r, a.multiply(z));
@@ -108,19 +114,14 @@ void AmgHierarchy::cycle(int level, const Vec& r, Vec& z) {
   Vec rc;
   restrict_to_coarse(agg, residual, rc);
   Vec ec;
-  coarse_correction(level + 1, rc, ec);
+  if (levels_[level + 1].to_coarse.has_value()) {
+    kcycle_inner(level + 1, rc, ec);
+  } else {
+    ec = coarse_solver_->solve(rc);
+  }
   prolongate_add(agg, ec, z);
 
-  smooth(levels_[level], r, z, options_.post_smooth);
-}
-
-void AmgHierarchy::coarse_correction(int coarse_level, const Vec& rc, Vec& ec) {
-  const bool coarsest = !levels_[coarse_level].to_coarse.has_value();
-  if (coarsest || options_.cycle == CycleType::kV) {
-    cycle(coarse_level, rc, ec);
-  } else {
-    kcycle_inner(coarse_level, rc, ec);
-  }
+  smooth(levels_[level], r, z, kConfig.post_smooth);
 }
 
 void AmgHierarchy::kcycle_inner(int level, const Vec& rc, Vec& ec) {

@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file amg.hpp
-/// Aggregation-based algebraic multigrid hierarchy with V- and K-cycles
-/// (Fig. 3 of the paper: Setup Stage / Preconditioning Phase). The hierarchy
-/// implements Preconditioner so it can drive the flexible PCG in cg.hpp.
+/// Aggregation-based algebraic multigrid hierarchy with a K-cycle (Fig. 3 of
+/// the paper: Setup Stage / Preconditioning Phase). The hierarchy implements
+/// Preconditioner so it can drive the flexible PCG in cg.hpp.
 
 #include <memory>
 #include <optional>
@@ -17,31 +17,18 @@
 
 namespace irf::solver {
 
-enum class CycleType { kV, kK };
-
-/// Relaxation used for pre/post smoothing. Symmetric Gauss-Seidel (the
-/// default) gives the strongest per-sweep damping but is inherently
-/// sequential; damped Jacobi updates every row independently, so it is the
-/// parallel-safe choice when the irf::par pool is wide (see
-/// docs/PERFORMANCE.md).
-enum class SmootherType { kSymmetricGaussSeidel, kJacobi };
-
-struct AmgOptions {
+/// The one AMG configuration (PowerRush-style): double pairwise aggregation
+/// down to a dense coarsest level, symmetric Gauss-Seidel smoothing and the
+/// K-cycle. The values are constants of amg.cpp; AmgHierarchy::options()
+/// exposes them so cost models can read the sweep counts.
+struct AmgConfig {
   /// Stop coarsening when a level has at most this many unknowns.
-  int coarsest_size = 64;
+  int coarsest_size;
   /// Safety cap on hierarchy depth.
-  int max_levels = 20;
-  /// Pre/post smoothing sweeps.
-  int pre_smooth = 1;
-  int post_smooth = 1;
-  SmootherType smoother = SmootherType::kSymmetricGaussSeidel;
-  /// Damping factor for the Jacobi smoother (ignored for Gauss-Seidel).
-  double jacobi_omega = 0.7;
-  /// Strength-of-coupling threshold for pairwise aggregation.
-  double strength_threshold = 0.25;
-  /// Use double pairwise (aggregates up to 4) vs single pairwise (up to 2).
-  bool double_pairwise = true;
-  CycleType cycle = CycleType::kK;
+  int max_levels;
+  /// Symmetric Gauss-Seidel pre/post smoothing sweeps.
+  int pre_smooth;
+  int post_smooth;
 };
 
 /// One level of the hierarchy. The finest level owns no aggregation-from-
@@ -61,11 +48,12 @@ struct AmgLevel {
 class AmgHierarchy final : public Preconditioner {
  public:
   /// Setup stage: recursively coarsen `a` (which is copied into level 0).
-  AmgHierarchy(const linalg::CsrMatrix& a, AmgOptions options = {});
+  explicit AmgHierarchy(const linalg::CsrMatrix& a);
 
   int num_levels() const { return static_cast<int>(levels_.size()); }
   const AmgLevel& level(int i) const { return levels_.at(static_cast<std::size_t>(i)); }
-  const AmgOptions& options() const { return options_; }
+  /// The fixed configuration every hierarchy is built with.
+  static const AmgConfig& options();
 
   /// Dense Cholesky factorization of the coarsest operator.
   const linalg::CholeskyFactor& coarse_solver() const { return *coarse_solver_; }
@@ -83,17 +71,14 @@ class AmgHierarchy final : public Preconditioner {
   void apply(const linalg::Vec& r, linalg::Vec& z) override;
 
   /// K-cycle uses inner Krylov acceleration, so the operator is variable.
-  bool is_variable() const override { return options_.cycle == CycleType::kK; }
+  bool is_variable() const override { return true; }
 
  private:
-  void smooth(const AmgLevel& level, const linalg::Vec& r, linalg::Vec& z, int sweeps);
   void cycle(int level, const linalg::Vec& r, linalg::Vec& z);
-  void coarse_correction(int coarse_level, const linalg::Vec& rc, linalg::Vec& ec);
   /// Two flexible-CG steps on the coarse problem, preconditioned by the
   /// coarse cycle — the "K" in K-cycle.
   void kcycle_inner(int level, const linalg::Vec& rc, linalg::Vec& ec);
 
-  AmgOptions options_;
   std::vector<AmgLevel> levels_;
   std::unique_ptr<linalg::CholeskyFactor> coarse_solver_;
 };

@@ -20,7 +20,7 @@ class AmgPcgSolver {
   /// Runs the AMG setup stage on `a` and keeps `a` as the outer PCG
   /// operator. The hierarchy's finest level holds its own copy, which stays
   /// at the setup values across update_matrix_values().
-  explicit AmgPcgSolver(linalg::CsrMatrix a, AmgOptions amg_options = {});
+  explicit AmgPcgSolver(linalg::CsrMatrix a);
 
   /// Solve A x = b under the given iteration/tolerance controls. `x0` is an
   /// optional warm start (PG analysis uses the flat supply voltage).

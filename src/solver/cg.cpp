@@ -64,7 +64,7 @@ SolveResult preconditioned_cg(const linalg::CsrMatrix& a, const Vec& b,
 
   int k = 0;
   for (; k < options.max_iterations; ++k) {
-    if (res_norm / b_norm < options.rel_tolerance || res_norm < options.abs_tolerance) {
+    if (res_norm / b_norm < options.rel_tolerance) {
       result.converged = true;
       break;
     }
@@ -98,8 +98,7 @@ SolveResult preconditioned_cg(const linalg::CsrMatrix& a, const Vec& b,
     if (rz <= 0.0) {
       // An exactly-converged residual makes <r, z> vanish — defer to the
       // top-of-loop convergence check instead of declaring breakdown.
-      if (res_norm / b_norm < options.rel_tolerance ||
-          res_norm <= options.abs_tolerance || res_norm == 0.0) {
+      if (res_norm / b_norm < options.rel_tolerance || res_norm == 0.0) {
         continue;
       }
       // Otherwise z lost positivity against r: restart in the
@@ -112,8 +111,7 @@ SolveResult preconditioned_cg(const linalg::CsrMatrix& a, const Vec& b,
   result.iterations = k;
   result.final_relative_residual = res_norm / b_norm;
   if (!result.converged) {
-    result.converged =
-        res_norm / b_norm < options.rel_tolerance || res_norm < options.abs_tolerance;
+    result.converged = res_norm / b_norm < options.rel_tolerance;
   }
   // Poison scan: the residual checks above bound the norm, but a NaN that
   // cancels in the norm could still hide in individual solution entries.

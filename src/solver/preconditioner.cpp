@@ -1,7 +1,6 @@
 #include "solver/preconditioner.hpp"
 
 #include "common/error.hpp"
-#include "linalg/smoothers.hpp"
 
 namespace irf::solver {
 
@@ -24,16 +23,6 @@ void JacobiPreconditioner::apply(const linalg::Vec& r, linalg::Vec& z) {
   }
   z.resize(r.size());
   for (std::size_t i = 0; i < r.size(); ++i) z[i] = inv_diag_[i] * r[i];
-}
-
-SgsPreconditioner::SgsPreconditioner(const linalg::CsrMatrix& a, int sweeps)
-    : a_(a), diag_(linalg::SmootherDiagonal::of(a)), sweeps_(sweeps) {
-  if (sweeps < 1) throw ConfigError("SGS preconditioner needs >= 1 sweep");
-}
-
-void SgsPreconditioner::apply(const linalg::Vec& r, linalg::Vec& z) {
-  z.assign(r.size(), 0.0);
-  for (int s = 0; s < sweeps_; ++s) linalg::symmetric_gauss_seidel(a_, diag_, r, z);
 }
 
 }  // namespace irf::solver

@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "linalg/csr.hpp"
-#include "linalg/smoothers.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace irf::solver {
@@ -41,20 +40,6 @@ class JacobiPreconditioner final : public Preconditioner {
 
  private:
   linalg::Vec inv_diag_;
-};
-
-/// M^{-1} = k sweeps of symmetric Gauss-Seidel from a zero initial guess.
-/// Borrows `a` (which must outlive this object and keep its values) and
-/// builds the smoothers' diagonal of it once, at construction.
-class SgsPreconditioner final : public Preconditioner {
- public:
-  SgsPreconditioner(const linalg::CsrMatrix& a, int sweeps = 1);
-  void apply(const linalg::Vec& r, linalg::Vec& z) override;
-
- private:
-  const linalg::CsrMatrix& a_;
-  linalg::SmootherDiagonal diag_;
-  int sweeps_;
 };
 
 }  // namespace irf::solver

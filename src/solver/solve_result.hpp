@@ -14,8 +14,6 @@ struct SolveOptions {
   int max_iterations = 1000;
   /// Stop when ||r|| / ||b|| falls below this.
   double rel_tolerance = 1e-10;
-  /// Also stop when ||r|| falls below this absolute floor.
-  double abs_tolerance = 0.0;
   /// Record ||r|| after every iteration (cheap; always useful for Fig. 7).
   bool track_residual_history = true;
 };

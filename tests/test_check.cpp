@@ -1,8 +1,8 @@
 // Tests for the irf::check correctness layer itself: the runtime gate, the
-// invariant macros, the CSR structural validator, the write-detection guard,
-// and the project lint rules. The gate is forced on/off explicitly so these
-// tests behave identically in every build configuration (default, sanitizer,
-// and -DIRF_DEBUG_CHECKS=ON trees).
+// invariant macros, the CSR structural validator and the write-detection
+// guard. The gate is forced on/off explicitly so these tests behave
+// identically in every build configuration (default, sanitizer, and
+// -DIRF_DEBUG_CHECKS=ON trees).
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 
 #include "check/check.hpp"
 #include "check/invariants.hpp"
-#include "check/lint.hpp"
 #include "check/write_guard.hpp"
 #include "linalg/csr.hpp"
 #include "nn/tensor.hpp"
@@ -249,151 +248,6 @@ TEST_F(ChecksOn, ParallelForRunsCleanUnderChunkClaimGuard) {
     });
   }
   for (std::int64_t i = 0; i < 1000; ++i) EXPECT_EQ(out[i], 5 * i);
-}
-
-// ---------------------------------------------------------------------------
-// Lint rules
-
-using check::lint::lint_content;
-
-int count_rule(const std::vector<check::lint::Issue>& issues, const std::string& rule) {
-  int n = 0;
-  for (const auto& issue : issues) {
-    if (issue.rule == rule) ++n;
-  }
-  return n;
-}
-
-TEST(Lint, RawNewFlagged) {
-  auto issues = lint_content("a.cpp", "int* p = new int(3);\n");
-  EXPECT_EQ(count_rule(issues, "raw-new"), 1);
-}
-
-TEST(Lint, PlacementFreeCodeClean) {
-  auto issues = lint_content(
-      "a.cpp",
-      "#include <memory>\n"
-      "auto p = std::make_unique<int>(3);\n"
-      "int new_epoch = 1; (void)new_epoch;  // identifier, not the keyword\n");
-  EXPECT_TRUE(issues.empty()) << issues.front().str();
-}
-
-TEST(Lint, RawDeleteFlaggedButDeletedFunctionsAllowed) {
-  auto flagged = lint_content("a.cpp", "void f(int* p) { delete p; }\n");
-  EXPECT_EQ(count_rule(flagged, "raw-delete"), 1);
-
-  auto arr = lint_content("a.cpp", "void f(int* p) { delete[] p; }\n");
-  EXPECT_EQ(count_rule(arr, "raw-delete"), 1);
-
-  auto deleted_fn = lint_content(
-      "a.hpp", "#pragma once\nstruct S { S(const S&) = delete; };\n");
-  EXPECT_EQ(count_rule(deleted_fn, "raw-delete"), 0);
-}
-
-TEST(Lint, ReinterpretCastFlagged) {
-  auto issues =
-      lint_content("a.cpp", "float f(int b) { return *reinterpret_cast<float*>(&b); }\n");
-  EXPECT_EQ(count_rule(issues, "reinterpret-cast"), 1);
-}
-
-TEST(Lint, BannedTokensInsideStringsAndCommentsIgnored) {
-  auto issues = lint_content(
-      "a.cpp",
-      "// reinterpret_cast is banned; new Foo() too\n"
-      "/* delete p; */\n"
-      "const char* msg = \"use new delete reinterpret_cast\";\n"
-      "const char* raw = R\"(new int; delete q; reinterpret_cast<int*>(0))\";\n");
-  EXPECT_TRUE(issues.empty()) << issues.front().str();
-}
-
-TEST(Lint, SuppressionCommentHonored) {
-  auto issues = lint_content(
-      "a.cpp", "int* p = new int(3);  // irf-lint: allow(raw-new) — pool internals\n");
-  EXPECT_EQ(count_rule(issues, "raw-new"), 0);
-
-  // A whole-line suppression comment covers the line below.
-  auto above = lint_content(
-      "a.cpp",
-      "// irf-lint: allow(raw-new) — arena internals\n"
-      "int* p = new int(3);\n");
-  EXPECT_EQ(count_rule(above, "raw-new"), 0);
-
-  // The suppression names one rule; it must not blanket others.
-  auto other = lint_content(
-      "a.cpp", "auto q = reinterpret_cast<int*>(0);  // irf-lint: allow(raw-new)\n");
-  EXPECT_EQ(count_rule(other, "reinterpret-cast"), 1);
-}
-
-TEST(Lint, PragmaOnceRequiredInHeaders) {
-  auto missing = lint_content("h.hpp", "inline int f() { return 1; }\n");
-  EXPECT_EQ(count_rule(missing, "pragma-once"), 1);
-
-  auto present = lint_content(
-      "h.hpp", "#pragma once\n\ninline int f() { return 1; }\n");
-  EXPECT_EQ(count_rule(present, "pragma-once"), 0);
-
-  // Leading comments before the pragma are fine; .cpp files are exempt.
-  auto commented = lint_content(
-      "h.hpp", "// \\file h.hpp\n\n#pragma once\ninline int f() { return 1; }\n");
-  EXPECT_EQ(count_rule(commented, "pragma-once"), 0);
-  auto source = lint_content("s.cpp", "int g() { return 2; }\n");
-  EXPECT_EQ(count_rule(source, "pragma-once"), 0);
-}
-
-TEST(Lint, ObsNameGrammarEnforced) {
-  auto good = lint_content(
-      "a.cpp",
-      "#include \"obs/metrics.hpp\"\n"
-      "void f() { irf::obs::count(\"solver.pcg.solves\"); }\n");
-  EXPECT_EQ(count_rule(good, "obs-name"), 0);
-
-  auto bad = lint_content(
-      "a.cpp",
-      "#include \"obs/metrics.hpp\"\n"
-      "void f() { irf::obs::count(\"Solver PCG!\"); }\n");
-  EXPECT_EQ(count_rule(bad, "obs-name"), 1);
-}
-
-TEST(Lint, ObsNameKindConflictAcrossFiles) {
-  check::lint::Linter linter;
-  linter.add_file("a.cpp",
-                  "void f() { irf::obs::count(\"stage.widgets\"); }\n");
-  linter.add_file("b.cpp",
-                  "void g() { irf::obs::set_gauge(\"stage.widgets\", 1.0); }\n");
-  linter.finish();
-  EXPECT_EQ(count_rule(linter.issues(), "obs-name"), 1);
-  EXPECT_EQ(linter.files_scanned(), 2);
-}
-
-TEST(Lint, SpanAndTimerShareAKind) {
-  // ScopedSpan records into a same-named timer, so span + record_timer on one
-  // name is NOT a conflict.
-  check::lint::Linter linter;
-  linter.add_file("a.cpp",
-                  "void f() { irf::obs::ScopedSpan span(\"solve.step\"); }\n");
-  linter.add_file("b.cpp",
-                  "void g() { irf::obs::record_timer(\"solve.step\", 0.5); }\n");
-  linter.finish();
-  EXPECT_EQ(count_rule(linter.issues(), "obs-name"), 0);
-}
-
-TEST(Lint, RuleTableCoversTheContract) {
-  const std::vector<std::string> rules = check::lint::rule_names();
-  for (const char* expected :
-       {"raw-new", "raw-delete", "reinterpret-cast", "pragma-once", "obs-name"}) {
-    bool found = false;
-    for (const std::string& r : rules) found = found || r == expected;
-    EXPECT_TRUE(found) << "missing rule " << expected;
-  }
-}
-
-TEST(Lint, IssueStrNamesFileLineRule) {
-  auto issues = lint_content("dir/a.cpp", "int* p = new int(3);\n");
-  ASSERT_EQ(issues.size(), 1u);
-  const std::string s = issues[0].str();
-  EXPECT_NE(s.find("dir/a.cpp"), std::string::npos) << s;
-  EXPECT_NE(s.find(":1:"), std::string::npos) << s;
-  EXPECT_NE(s.find("raw-new"), std::string::npos) << s;
 }
 
 }  // namespace

@@ -48,10 +48,9 @@ TEST(Simd, ElementwiseKernelsMatchScalarLoops) {
   set_enabled(true);
   Rng rng(53);
   const std::int64_t n = 1037;
-  Vec a(n), b(n), diag(n);
+  Vec a(n), b(n);
   for (double& v : a) v = rng.normal();
   for (double& v : b) v = rng.normal();
-  for (double& v : diag) v = 1.0 + std::abs(rng.normal());
 
   Vec y = b;
   axpy(0.37, a.data(), y.data(), n);
@@ -68,10 +67,6 @@ TEST(Simd, ElementwiseKernelsMatchScalarLoops) {
   Vec out(n);
   subtract(a.data(), b.data(), out.data(), n);
   for (std::int64_t i = 0; i < n; ++i) EXPECT_EQ(out[i], a[i] - b[i]);
-
-  y = b;
-  jacobi_update(a.data(), diag.data(), 0.7, y.data(), n);
-  for (std::int64_t i = 0; i < n; ++i) EXPECT_EQ(y[i], b[i] + 0.7 * a[i] / diag[i]);
 }
 
 TEST(Simd, TierReportingFollowsGate) {

@@ -183,16 +183,17 @@ TEST(Aggregation, RestrictProlongAdjoint) {
 }
 
 TEST(Amg, HierarchyShrinks) {
-  CsrMatrix a = laplacian_2d(16);
-  AmgOptions opt;
-  opt.coarsest_size = 16;
-  AmgHierarchy amg(a, opt);
-  ASSERT_GE(amg.num_levels(), 2);
+  // 1600 rows coarsen about 4x per level: at least 3 levels above the
+  // 64-row floor.
+  CsrMatrix a = laplacian_2d(40);
+  AmgHierarchy amg(a);
+  ASSERT_GE(amg.num_levels(), 3);
   for (int l = 1; l < amg.num_levels(); ++l) {
     EXPECT_LT(amg.level(l).matrix.rows(), amg.level(l - 1).matrix.rows());
     EXPECT_TRUE(amg.level(l).matrix.is_symmetric(1e-9));
   }
-  EXPECT_LE(amg.level(amg.num_levels() - 1).matrix.rows(), 4 * opt.coarsest_size);
+  EXPECT_LE(amg.level(amg.num_levels() - 1).matrix.rows(),
+            4 * AmgHierarchy::options().coarsest_size);
   EXPECT_GE(amg.grid_complexity(), 1.0);
   EXPECT_LT(amg.grid_complexity(), 2.5);
   EXPECT_LT(amg.operator_complexity(), 3.0);
@@ -200,7 +201,7 @@ TEST(Amg, HierarchyShrinks) {
 
 TEST(Amg, CycleReducesError) {
   CsrMatrix a = laplacian_2d(12);
-  AmgHierarchy amg(a, {});
+  AmgHierarchy amg(a);
   Rng rng(6);
   Vec b = random_vec(a.rows(), rng);
   Vec z;
@@ -257,17 +258,6 @@ TEST(AmgPcg, RoughSolutionImprovesWithIterations) {
   }
 }
 
-TEST(AmgPcg, VCycleAlsoConverges) {
-  CsrMatrix a = laplacian_2d(16);
-  Rng rng(10);
-  Vec b = random_vec(a.rows(), rng);
-  AmgOptions opt;
-  opt.cycle = CycleType::kV;
-  AmgPcgSolver solver(a, opt);
-  SolveResult r = solver.solve_golden(b, 1e-9);
-  EXPECT_TRUE(r.converged);
-}
-
 TEST(AmgPcg, SetupTimeRecorded) {
   CsrMatrix a = laplacian_2d(12);
   AmgPcgSolver solver(a);
@@ -279,25 +269,19 @@ TEST(AmgPcg, SetupTimeRecorded) {
 }
 
 TEST(Amg, SmootherDiagonalsMatchEveryLevel) {
-  // The smoothers read each level's diagonal from the arrays built once at
-  // setup; they must be that level operator's diagonal, position and value.
-  for (SmootherType smoother :
-       {SmootherType::kSymmetricGaussSeidel, SmootherType::kJacobi}) {
-    AmgOptions opt;
-    opt.smoother = smoother;
-    AmgHierarchy h(laplacian_2d(24), opt);
-    ASSERT_GT(h.num_levels(), 2);
-    for (int l = 0; l < h.num_levels(); ++l) {
-      const AmgLevel& level = h.level(l);
-      const CsrMatrix& a = level.matrix;
-      ASSERT_EQ(level.diagonal.index.size(), static_cast<std::size_t>(a.rows()));
-      ASSERT_EQ(level.diagonal.values.size(), static_cast<std::size_t>(a.rows()));
-      for (int r = 0; r < a.rows(); ++r) {
-        const int k = level.diagonal.index[r];
-        ASSERT_GE(k, 0) << "level " << l << " row " << r;
-        EXPECT_EQ(a.col_idx()[k], r);
-        EXPECT_EQ(level.diagonal.values[r], a.at(r, r)) << "level " << l << " row " << r;
-      }
+  // The smoothers read each level's diagonal position from the array built
+  // once at setup; it must point at that level operator's diagonal entry.
+  AmgHierarchy h(laplacian_2d(24));
+  ASSERT_GT(h.num_levels(), 2);
+  for (int l = 0; l < h.num_levels(); ++l) {
+    const AmgLevel& level = h.level(l);
+    const CsrMatrix& a = level.matrix;
+    ASSERT_EQ(level.diagonal.index.size(), static_cast<std::size_t>(a.rows()));
+    for (int r = 0; r < a.rows(); ++r) {
+      const int k = level.diagonal.index[r];
+      ASSERT_GE(k, 0) << "level " << l << " row " << r;
+      EXPECT_EQ(a.col_idx()[k], r);
+      EXPECT_EQ(a.values()[k], a.at(r, r)) << "level " << l << " row " << r;
     }
   }
 }
@@ -318,7 +302,7 @@ TEST(Amg, MemoryBytesCountsSmootherDiagonals) {
   }
   const auto coarse_n = static_cast<std::size_t>(h.coarse_solver().size());
   without_diagonals += coarse_n * coarse_n * sizeof(double);
-  EXPECT_GE(diagonals, rows * (sizeof(int) + sizeof(double)));
+  EXPECT_GE(diagonals, rows * sizeof(int));
   EXPECT_EQ(h.memory_bytes(), without_diagonals + diagonals);
 }
 

@@ -15,27 +15,6 @@
 namespace irf::solver {
 namespace {
 
-TEST(SgsPreconditioner, AcceleratesCg) {
-  Rng rng(35);
-  pg::PgDesign design = pg::generate_fake_design(32, rng, "sgs");
-  pg::MnaSystem sys = pg::assemble_mna(design.netlist);
-  SolveOptions opt;
-  opt.rel_tolerance = 1e-8;
-  opt.max_iterations = 20000;
-  SolveResult plain = conjugate_gradient(sys.conductance, sys.rhs, opt);
-  SgsPreconditioner sgs(sys.conductance, 1);
-  SolveResult pre = preconditioned_cg(sys.conductance, sys.rhs, sgs, opt);
-  EXPECT_TRUE(pre.converged);
-  EXPECT_LT(pre.iterations, plain.iterations);
-}
-
-TEST(SgsPreconditioner, RejectsZeroSweeps) {
-  Rng rng(36);
-  pg::PgDesign design = pg::generate_fake_design(24, rng, "sgs0");
-  pg::MnaSystem sys = pg::assemble_mna(design.netlist);
-  EXPECT_THROW(SgsPreconditioner(sys.conductance, 0), ConfigError);
-}
-
 TEST(WarmStart, PcgInitialGuessRespected) {
   Rng rng(33);
   pg::PgDesign design = pg::generate_fake_design(32, rng, "warm");

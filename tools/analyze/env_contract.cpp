@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "analyze/analyzer.hpp"
-#include "check/lexer.hpp"
+#include "analyze/lexer.hpp"
 
 namespace irf::analyze {
 
@@ -69,11 +69,11 @@ void Analyzer::run_env_contract() {
              std::isspace(static_cast<unsigned char>(f.content[j]))) {
         ++j;
       }
-      const int line = check::lex::line_of(f.content, tok);
+      const int line = lex::line_of(f.content, tok);
       if (j >= f.content.size() || f.content[j] != '"') {
         // Non-literal variable name: the doc contract can't be checked, which
         // is itself the violation.
-        if (!check::lex::line_allows(f.content, line, "env-undocumented")) {
+        if (!lex::line_allows(f.content, line, "env-undocumented")) {
           report({f.path, line, "env-undocumented",
                   "getenv with a non-literal variable name cannot be checked against "
                   "the env contract; use a string literal",
@@ -90,7 +90,7 @@ void Analyzer::run_env_contract() {
       seen_vars.insert(var);
 
       if (documented.count(var) == 0 && !config_.env_doc_text.empty() &&
-          !check::lex::line_allows(f.content, line, "env-undocumented")) {
+          !lex::line_allows(f.content, line, "env-undocumented")) {
         report({f.path, line, "env-undocumented",
                 var + " is read here but missing from the env-contract table in " +
                     config_.env_doc_path,
@@ -110,9 +110,9 @@ void Analyzer::run_env_contract() {
           tpos += tk.size();
           if (at > 0 && (identifier_char(f.code[at - 1]) || f.code[at - 1] == ':')) continue;
           if (tpos < f.code.size() && identifier_char(f.code[tpos])) continue;
-          const int tline = check::lex::line_of(f.content, at);
+          const int tline = lex::line_of(f.content, at);
           if (tline < line || tline > last_line) continue;
-          if (check::lex::line_allows(f.content, tline, "env-raw-parse")) continue;
+          if (lex::line_allows(f.content, tline, "env-raw-parse")) continue;
           report({f.path, tline, "env-raw-parse",
                   "raw " + tk + " near getenv(\"" + var +
                       "\"); parse env values with the checked helpers in "

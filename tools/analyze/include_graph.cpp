@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "analyze/analyzer.hpp"
-#include "check/lexer.hpp"
+#include "analyze/lexer.hpp"
 
 namespace irf::analyze {
 
@@ -16,7 +16,7 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-/// Module a quoted include target belongs to: "check/lexer.hpp" -> "check",
+/// Module a quoted include target belongs to: "check/check.hpp" -> "check",
 /// "irf.hpp" -> "irf" (the facade header sits directly under src/),
 /// "analyze/analyzer.hpp" -> "" (tool-local, outside the layer model).
 std::string target_module(const LayerTable& table, const std::string& target) {
@@ -212,13 +212,13 @@ void Analyzer::run_layering() {
       const std::size_t end = f.content.find('"', begin);
       if (end == std::string::npos) continue;
       const std::string target = f.content.substr(begin, end - begin);
-      const int line = check::lex::line_of(f.content, begin);
+      const int line = lex::line_of(f.content, begin);
 
       // private-include applies to every module, wildcard or not.
       auto priv = table_.private_headers.find(target);
       if (priv != table_.private_headers.end()) {
         const std::string owner = target.substr(0, target.find('/'));
-        if (owner != f.module && !check::lex::line_allows(f.content, line, "private-include")) {
+        if (owner != f.module && !lex::line_allows(f.content, line, "private-include")) {
           report({f.path, line, "private-include",
                   "\"" + target + "\" is private to module '" + owner +
                       "' (declared in " + config_.layers_path + ")",
@@ -230,7 +230,7 @@ void Analyzer::run_layering() {
       if (to.empty() || to == f.module) continue;
       observed[f.module].insert(to);
       if (entry.any || allowed.count(to) > 0) continue;
-      if (check::lex::line_allows(f.content, line, "layering")) continue;
+      if (lex::line_allows(f.content, line, "layering")) continue;
       report({f.path, line, "layering",
               "module '" + f.module + "' must not include module '" + to +
                   "' (\"" + target + "\"); allowed deps: {" +

@@ -2,7 +2,7 @@
 
 /// \file lexer.hpp
 /// String/comment-aware source lexer shared by the project lint rules
-/// (src/check/lint.cpp) and the semantic analyzer (tools/analyze). One pass
+/// (lint.cpp) and the other passes of the semantic analyzer. One pass
 /// classifies every byte of a translation unit as code, comment, or string,
 /// so rules can match against a code-only projection without tripping over
 /// tokens inside literals or commentary.
@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-namespace irf::check::lex {
+namespace irf::analyze::lex {
 
 /// Per-character classification of a translation unit.
 enum class Kind : unsigned char { kCode, kComment, kString };
@@ -39,4 +39,4 @@ std::string line_text(const std::string& raw, int line);
 /// `irf-analyze: allow(<rule>)` / `irf-lint: allow(<rule>)` suppression.
 bool line_allows(const std::string& raw, int line, const std::string& rule);
 
-}  // namespace irf::check::lex
+}  // namespace irf::analyze::lex
