@@ -1,14 +1,10 @@
 #include "core/pipeline.hpp"
 
 #include <cmath>
-#include <fstream>
-
 #include <memory>
 
 #include "check/check.hpp"
-#include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "features/extractor.hpp"
 #include "models/unet.hpp"
 #include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
@@ -43,18 +39,24 @@ void validate_config(const PipelineConfig& config) {
   }
 }
 
-IrFusionPipeline::IrFusionPipeline(PipelineConfig config)
-    : config_(config), rng_(config.seed) {
+IrFusionPipeline::IrFusionPipeline(PipelineConfig config) : config_(config) {
   validate_config(config_);
 }
 
+std::unique_ptr<models::IrModel> IrFusionPipeline::build_model(const PipelineConfig& config,
+                                                               int channels) {
+  Rng rng(config.seed);
+  return models::make_ir_fusion_net(channels, config.base_channels, rng,
+                                    config.use_inception, config.use_cbam);
+}
+
 IrFusionPipeline IrFusionPipeline::restore(PipelineConfig config,
-                                           train::Normalizer normalizer,
-                                           std::unique_ptr<models::IrModel> model) {
-  if (!model) throw ConfigError("restore: model must not be null");
+                                           train::Normalizer normalizer, int channels,
+                                           std::istream& state) {
   IrFusionPipeline pipeline(config);
   pipeline.normalizer_ = std::move(normalizer);
-  pipeline.model_ = std::move(model);
+  pipeline.model_ = build_model(pipeline.config_, channels);
+  nn::load_state(*pipeline.model_, state);
   pipeline.model_->set_training(false);
   pipeline.fitted_ = true;
   return pipeline;
@@ -93,8 +95,7 @@ train::TrainHistory IrFusionPipeline::fit(
   normalizer_ = train::Normalizer::fit(samples);
 
   const int channels = train::view_channel_count(samples.front(), view());
-  model_ = models::make_ir_fusion_net(channels, config_.base_channels, rng_,
-                                      config_.use_inception, config_.use_cbam);
+  model_ = build_model(config_, channels);
 
   train::TrainOptions options;
   options.epochs = config_.epochs;
@@ -138,21 +139,9 @@ IrFusionPipeline::Diagnostics IrFusionPipeline::analyze_with_diagnostics(
   // Fusion stage: hierarchical numerical-structural features + inference;
   // feature_extract and infer spans nest inside it.
   obs::ScopedSpan fusion_span("fusion_stage", "pipeline");
-  features::FeatureOptions opts;
-  opts.image_size = config_.image_size;
-  opts.hierarchical = true;
-  opts.include_numerical = true;
-  Sample sample;
-  sample.design_name = design.name;
-  sample.kind = design.kind;
-  sample.hier = features::extract_features(design, &rough, opts);
-  opts.hierarchical = false;
-  sample.flat = features::extract_features(design, &rough, opts);
-  sample.label = GridF(config_.image_size, config_.image_size, 0.0f);  // unused
-  sample.rough_bottom = features::label_map(design, rough, config_.image_size);
-
+  const Sample sample = train::make_inference_sample(design, rough, config_.image_size);
   diag.rough = sample.rough_bottom;
-  diag.prediction = predict(sample);
+  diag.prediction = std::move(predict({&sample}).front());
   IRF_CHECK_FINITE(diag.prediction.data(), "fusion-stage prediction");
   diag.inference_seconds = fusion_span.seconds();
 
@@ -178,15 +167,9 @@ GridF IrFusionPipeline::analyze_tiled(const pg::PgDesign& design, int native_siz
 
   // Numerical stage + features once, at the native resolution.
   pg::PgSolver solver(design);
-  const pg::PgSolution rough = solver.solve_rough(config_.rough_iterations);
-  features::FeatureOptions opts;
-  opts.image_size = native_size;
-  opts.hierarchical = true;
-  opts.include_numerical = true;
-  const features::FeatureStack hier = features::extract_features(design, &rough, opts);
-  opts.hierarchical = false;
-  const features::FeatureStack flat = features::extract_features(design, &rough, opts);
-  const GridF rough_native = features::label_map(design, rough, native_size);
+  const Sample native =
+      train::make_inference_sample(design, solver.solve_rough(config_.rough_iterations),
+                                   native_size);
 
   auto crop = [](const GridF& src, int y0, int x0, int size) {
     GridF out(size, size);
@@ -205,13 +188,17 @@ GridF IrFusionPipeline::analyze_tiled(const pg::PgDesign& design, int native_siz
       Sample s;
       s.design_name = design.name;
       s.kind = design.kind;
-      s.hier.names = hier.names;
-      s.flat.names = flat.names;
-      for (const GridF& ch : hier.channels) s.hier.channels.push_back(crop(ch, ty, tx, tile));
-      for (const GridF& ch : flat.channels) s.flat.channels.push_back(crop(ch, ty, tx, tile));
+      s.hier.names = native.hier.names;
+      s.flat.names = native.flat.names;
+      for (const GridF& ch : native.hier.channels) {
+        s.hier.channels.push_back(crop(ch, ty, tx, tile));
+      }
+      for (const GridF& ch : native.flat.channels) {
+        s.flat.channels.push_back(crop(ch, ty, tx, tile));
+      }
       s.label = GridF(tile, tile, 0.0f);
-      s.rough_bottom = crop(rough_native, ty, tx, tile);
-      const GridF pred = predict(s);
+      s.rough_bottom = crop(native.rough_bottom, ty, tx, tile);
+      const GridF pred = std::move(predict({&s}).front());
       // Triangular blending weight peaks at the tile centre so overlaps
       // fade smoothly.
       for (int y = 0; y < tile; ++y) {
@@ -230,81 +217,16 @@ GridF IrFusionPipeline::analyze_tiled(const pg::PgDesign& design, int native_siz
   return accum;
 }
 
-GridF IrFusionPipeline::predict(const Sample& sample) const {
-  GridF out = train::predict_volts(*model_, sample, view(), normalizer_);
+std::vector<GridF> IrFusionPipeline::predict(const std::vector<const Sample*>& samples) const {
+  if (!fitted_) throw ConfigError("predict: pipeline not fitted");
+  std::vector<GridF> maps = train::predict_volts(*model_, samples, view(), normalizer_);
   if (refines_rough_solution()) {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out.data()[i] += sample.rough_bottom.data()[i];
+    for (std::size_t k = 0; k < maps.size(); ++k) {
+      const GridF& rough = samples[k]->rough_bottom;
+      for (std::size_t i = 0; i < maps[k].size(); ++i) maps[k].data()[i] += rough.data()[i];
     }
   }
-  return out;
-}
-
-namespace {
-constexpr std::uint32_t kPipelineMagic = 0x49524650;  // "IRFP"
-
-void write_string(std::ostream& out, const std::string& s) {
-  write_pod(out, static_cast<std::uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-std::string read_string(std::istream& in) {
-  std::uint32_t n = 0;
-  read_pod(in, n);
-  std::string s(n, '\0');
-  in.read(s.data(), static_cast<std::streamsize>(n));
-  return s;
-}
-}  // namespace
-
-void IrFusionPipeline::save(const std::string& path) const {
-  if (!fitted_) throw ConfigError("save: pipeline not fitted");
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw Error("cannot open pipeline checkpoint for write: " + path);
-  write_pod(out, kPipelineMagic);
-  write_pod(out, config_);
-  write_pod(out, model_->in_channels());
-  const auto& scales = normalizer_.scales();
-  write_pod(out, static_cast<std::uint32_t>(scales.size()));
-  for (const auto& [name, scale] : scales) {
-    write_string(out, name);
-    write_pod(out, scale);
-  }
-  nn::save_parameters(model_->parameters(), out);
-  nn::save_buffers(model_->buffers(), out);
-  if (!out) throw Error("pipeline checkpoint write failed: " + path);
-}
-
-IrFusionPipeline IrFusionPipeline::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open pipeline checkpoint for read: " + path);
-  std::uint32_t magic = 0;
-  read_pod(in, magic);
-  if (magic != kPipelineMagic) throw ParseError("not a pipeline checkpoint: " + path);
-  PipelineConfig config;
-  read_pod(in, config);
-  IrFusionPipeline pipeline(config);
-  int channels = 0;
-  read_pod(in, channels);
-  std::uint32_t num_scales = 0;
-  read_pod(in, num_scales);
-  std::map<std::string, float> scales;
-  for (std::uint32_t i = 0; i < num_scales; ++i) {
-    std::string name = read_string(in);
-    float scale = 0.0f;
-    read_pod(in, scale);
-    scales.emplace(std::move(name), scale);
-  }
-  if (!in) throw ParseError("pipeline checkpoint truncated: " + path);
-  pipeline.normalizer_ = train::Normalizer::from_scales(std::move(scales));
-  pipeline.model_ = models::make_ir_fusion_net(channels, config.base_channels,
-                                               pipeline.rng_, config.use_inception,
-                                               config.use_cbam);
-  std::vector<nn::Tensor> params = pipeline.model_->parameters();
-  nn::load_parameters(params, in);
-  nn::load_buffers(pipeline.model_->buffers(), in);
-  pipeline.model_->set_training(false);
-  pipeline.fitted_ = true;
-  return pipeline;
+  return maps;
 }
 
 train::AggregateMetrics IrFusionPipeline::evaluate(
@@ -315,8 +237,8 @@ train::AggregateMetrics IrFusionPipeline::evaluate(
   double runtime = 0.0;
   for (const PreparedDesign& prepared : test_designs) {
     obs::ScopedSpan span("evaluate_design", "pipeline");
-    Sample sample = sample_for(prepared);  // rough solve + feature fusion
-    GridF pred = predict(sample);
+    const Sample sample = sample_for(prepared);  // rough solve + feature fusion
+    const GridF pred = std::move(predict({&sample}).front());
     runtime += span.seconds();
     per_design.push_back(train::evaluate_map(pred, sample.label));
   }

@@ -6,6 +6,7 @@
 /// feature fusion, the Inception Attention U-Net, and augmented curriculum
 /// training (Fig. 2). Every ablation switch of Fig. 8 is a config flag.
 
+#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -93,21 +94,19 @@ class IrFusionPipeline {
   const train::Normalizer& normalizer() const { return normalizer_; }
   bool is_fitted() const { return fitted_; }
 
-  /// Persist a fitted pipeline (config + normalization + model weights).
-  /// Legacy v1 format; new code should prefer irf::serve checkpoints
-  /// (versioned header + checksum — see docs/API.md), which the serve
-  /// loader also accepts alongside this format.
-  void save(const std::string& path) const;
-
-  /// Restore a pipeline saved with save(). The returned pipeline is fitted
-  /// and ready for analyze()/evaluate() without retraining.
-  static IrFusionPipeline load(const std::string& path);
-
-  /// Reassemble a fitted pipeline from externally restored parts (the serve
-  /// checkpoint loader). The model must match the config's architecture
-  /// flags; the pipeline takes ownership and is immediately analyzable.
+  /// Reassemble a fitted pipeline from persisted parts (the serve checkpoint
+  /// loader, the Router's per-shard clones): builds the config's model over
+  /// `channels` inputs exactly as fit() does, then reads its weights from
+  /// `state` (nn::load_state). The result is immediately analyzable.
   static IrFusionPipeline restore(PipelineConfig config, train::Normalizer normalizer,
-                                  std::unique_ptr<models::IrModel> model);
+                                  int channels, std::istream& state);
+
+  /// Refined bottom-layer maps (volts) of samples built by
+  /// train::make_inference_sample: one batched forward (train::predict_volts)
+  /// plus each sample's rough map when refines_rough_solution(). The samples
+  /// must share one shape. analyze(), analyze_tiled() and the serving engine
+  /// all infer here.
+  std::vector<GridF> predict(const std::vector<const train::Sample*>& samples) const;
 
   /// With the numerical solution enabled, the model is trained on the
   /// *residual* between the golden label and the rough bottom-layer map —
@@ -119,10 +118,10 @@ class IrFusionPipeline {
 
  private:
   train::Sample sample_for(const train::PreparedDesign& prepared) const;
-  GridF predict(const train::Sample& sample) const;
+  static std::unique_ptr<models::IrModel> build_model(const PipelineConfig& config,
+                                                      int channels);
 
   PipelineConfig config_;
-  Rng rng_;
   std::unique_ptr<models::IrModel> model_;
   train::Normalizer normalizer_;
   bool fitted_ = false;

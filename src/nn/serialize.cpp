@@ -7,7 +7,6 @@
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "common/hash.hpp"
 #include "nn/module.hpp"
 
 namespace irf::nn {
@@ -105,24 +104,6 @@ void load_state(Module& module, std::istream& in) {
   std::vector<Tensor> params = module.parameters();
   load_parameters(params, in);
   load_buffers(module.buffers(), in);
-}
-
-std::uint64_t state_checksum(Module& module) {
-  Fnv1a64 h;
-  for (const Tensor& p : module.parameters()) {
-    const Shape& s = p.shape();
-    h.update_pod(s.n);
-    h.update_pod(s.c);
-    h.update_pod(s.h);
-    h.update_pod(s.w);
-    h.update(p.data().data(), p.data().size() * sizeof(float));
-  }
-  for (const std::vector<float>* buf : module.buffers()) {
-    const std::uint64_t n = buf->size();
-    h.update_pod(n);
-    h.update(buf->data(), buf->size() * sizeof(float));
-  }
-  return h.value();
 }
 
 }  // namespace irf::nn

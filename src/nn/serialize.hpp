@@ -28,16 +28,11 @@ void load_buffers(const std::vector<std::vector<float>*>& buffers, std::istream&
 class Module;
 
 /// Full trainable state of a module tree — parameters followed by buffers —
-/// as one stream section. This is the unit the pipeline/serve checkpoint
-/// formats embed; keeping it here means the weight wire format has a single
+/// as one stream section. This is the unit the serve checkpoint format
+/// embeds; keeping it here means the weight wire format has a single
 /// owner. Parameter/buffer order must match between save and load (module
 /// construction is deterministic, so it does).
 void save_state(Module& module, std::ostream& out);
 void load_state(Module& module, std::istream& in);
-
-/// FNV-1a 64 digest over every parameter and buffer payload (shapes
-/// included), in traversal order. Lets checkpoint readers verify weights
-/// without re-serializing them.
-std::uint64_t state_checksum(Module& module);
 
 }  // namespace irf::nn

@@ -157,31 +157,15 @@ struct EngineOptions {
   std::size_t cache_budget_bytes = std::size_t{256} << 20;  ///< per-design cache
   double default_timeout_seconds = 0.0;  ///< 0 = requests never expire
   bool allow_degraded = true;   ///< engine-wide master switch for the fallback
-  bool start_paused = false;    ///< queue requests but do not dispatch yet
-
-  /// Resolution/iteration budget of the rough numerical map served by a
-  /// model-less (degraded-only) engine. Ignored once a pipeline is loaded —
-  /// the pipeline's own config governs then.
-  int fallback_image_size = 64;
-  int fallback_rough_iterations = 3;
 
   /// Incremental re-analysis: when a request misses the content cache but a
   /// cached entry has the identical topology up to a bounded value delta
   /// (new current map, scaled supply, a few resistor edits), reuse its AMG
   /// hierarchy, warm-start PCG from its rough solution and refresh only the
-  /// delta-dependent feature maps. Any classification or numerical failure
-  /// falls back to the cold path (docs/API.md "Incremental serving").
+  /// delta-dependent feature maps. Up to 8 resistor value edits count as
+  /// such a delta. Any classification or numerical failure falls back to
+  /// the cold path (docs/API.md "Incremental serving").
   bool enable_warm_start = true;
-
-  /// How many resistor value edits still count as an incremental delta;
-  /// larger edit sets force the cold path.
-  int max_stamp_edits = 8;
-
-  /// Flight recorder: ring capacity of recent engine events (submit /
-  /// dequeue / respond / degraded / deadline_missed / warm_fallback /
-  /// check_error). Always on — recording is one short mutex hold and never
-  /// influences results.
-  int flight_recorder_capacity = 256;
 
   /// Test hook: sleep this long between the pre-inference deadline check
   /// and stage B, simulating a slow model forward. Pins the

@@ -7,25 +7,29 @@
 #include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
-#include "models/unet.hpp"
 #include "nn/serialize.hpp"
-#include "obs/log.hpp"
 
 namespace irf::serve {
 
 namespace {
-
-// Legacy v1 magic written by IrFusionPipeline::save() ("IRFP").
-constexpr std::uint32_t kLegacyMagic = 0x49524650;
 
 void write_string(std::ostream& out, const std::string& s) {
   write_pod(out, static_cast<std::uint32_t>(s.size()));
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-std::string read_string(std::istream& in) {
+/// Payload bytes `in` has not consumed yet (0 once it has failed).
+std::uint64_t unread(std::istream& in, std::size_t payload_bytes) {
+  const std::streamoff pos = in.tellg();
+  return pos < 0 ? 0 : payload_bytes - static_cast<std::uint64_t>(pos);
+}
+
+/// Length-prefixed string; a length past the end of the payload is
+/// rejected before anything is allocated for it.
+std::string read_string(std::istream& in, std::size_t payload_bytes) {
   std::uint32_t n = 0;
   read_pod(in, n);
+  if (n > unread(in, payload_bytes)) throw ParseError("checkpoint string overruns payload");
   std::string s(n, '\0');
   in.read(s.data(), static_cast<std::streamsize>(n));
   return s;
@@ -104,12 +108,6 @@ core::IrFusionPipeline load_checkpoint(const std::string& path) {
   std::uint32_t magic = 0;
   read_pod(in, magic);
   if (!in) throw ParseError("checkpoint too short: " + path);
-  if (magic == kLegacyMagic) {
-    // Pre-serve pipeline checkpoint: delegate to the legacy reader.
-    in.close();
-    obs::verbose() << "loading legacy v1 pipeline checkpoint " << path;
-    return core::IrFusionPipeline::load(path);
-  }
   if (magic != kCheckpointMagic) {
     throw ParseError("not an IR-Fusion checkpoint: " + path);
   }
@@ -123,6 +121,15 @@ core::IrFusionPipeline load_checkpoint(const std::string& path) {
   if (version > kCheckpointVersion) {
     throw ParseError("checkpoint " + path + " has version " + std::to_string(version) +
                      "; this build reads <= " + std::to_string(kCheckpointVersion));
+  }
+  // The header's size claim is checked against the file before anything is
+  // allocated for it.
+  const std::streampos body = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::uint64_t file_rest = static_cast<std::uint64_t>(in.tellg() - body);
+  in.seekg(body);
+  if (payload_bytes > file_rest) {
+    throw ParseError("checkpoint payload truncated: " + path);
   }
   std::string payload(static_cast<std::size_t>(payload_bytes), '\0');
   in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
@@ -140,22 +147,31 @@ core::IrFusionPipeline load_checkpoint(const std::string& path) {
   read_pod(payload_in, channels);
   std::uint32_t num_scales = 0;
   read_pod(payload_in, num_scales);
+  if (!payload_in) throw ParseError("checkpoint payload malformed: " + path);
+  // A scale is at least a 4-byte length and a 4-byte value.
+  if (num_scales > unread(payload_in, payload.size()) / 8) {
+    throw ParseError("checkpoint scale count overruns payload: " + path);
+  }
   std::map<std::string, float> scales;
   for (std::uint32_t i = 0; i < num_scales; ++i) {
-    std::string name = read_string(payload_in);
+    std::string name = read_string(payload_in, payload.size());
     float scale = 0.0f;
     read_pod(payload_in, scale);
     scales.emplace(std::move(name), scale);
   }
   if (!payload_in) throw ParseError("checkpoint payload malformed: " + path);
-  if (channels < 1) throw ParseError("checkpoint has invalid channel count: " + path);
-
-  Rng rng(config.seed);
-  std::unique_ptr<models::IrModel> model = models::make_ir_fusion_net(
-      channels, config.base_channels, rng, config.use_inception, config.use_cbam);
-  nn::load_state(*model, payload_in);
+  // Every model of this config holds at least the 3x3 weights of its stem
+  // (channels -> b -> b) and of its deepest up-projection (8b -> 4b):
+  // 9 b (channels + 33 b) floats. Channel counts whose weights the rest of
+  // the payload cannot hold are rejected before the model is built.
+  const std::uint64_t base = static_cast<std::uint64_t>(config.base_channels);
+  const std::uint64_t budget = unread(payload_in, payload.size()) / (9 * sizeof(float));
+  if (channels < 1 ||
+      static_cast<std::uint64_t>(channels) + 33 * base > budget / base) {
+    throw ParseError("checkpoint has invalid channel count: " + path);
+  }
   return core::IrFusionPipeline::restore(
-      config, train::Normalizer::from_scales(std::move(scales)), std::move(model));
+      config, train::Normalizer::from_scales(std::move(scales)), channels, payload_in);
 }
 
 bool is_checkpoint_file(const std::string& path) {
@@ -163,7 +179,7 @@ bool is_checkpoint_file(const std::string& path) {
   if (!in) return false;
   std::uint32_t magic = 0;
   read_pod(in, magic);
-  return in && (magic == kCheckpointMagic || magic == kLegacyMagic);
+  return in && magic == kCheckpointMagic;
 }
 
 }  // namespace irf::serve

@@ -14,8 +14,10 @@
 ///
 /// Round-trips are exact: a loaded pipeline produces bit-identical
 /// analyze() output to the pipeline that was saved, for any IRF_THREADS
-/// value (tests/test_serve.cpp). The loader also accepts the legacy v1
-/// format of IrFusionPipeline::save() for pre-serve files.
+/// value (tests/test_serve.cpp). The loader bounds every size the file
+/// claims (payload, strings, scale count, model channels) by the bytes that
+/// are really there, so a hostile file fails with irf::ParseError instead of
+/// an allocation (tests/test_fuzz_checkpoint.cpp).
 
 #include <string>
 
@@ -32,14 +34,14 @@ inline constexpr std::uint32_t kCheckpointVersion = 2;
 /// operation on the module tree; the pipeline is not modified.)
 void save_checkpoint(core::IrFusionPipeline& pipeline, const std::string& path);
 
-/// Restore a pipeline saved by save_checkpoint() — or, as a compatibility
-/// fallback, by the legacy IrFusionPipeline::save(). Verifies the header
+/// Restore a pipeline saved by save_checkpoint(). Verifies the header
 /// checksum before trusting any payload byte; throws irf::ParseError on a
-/// foreign file, version from the future, checksum mismatch, or truncation.
+/// foreign file, version from the future, checksum mismatch, truncation or
+/// a size claim the file cannot back.
 core::IrFusionPipeline load_checkpoint(const std::string& path);
 
-/// True when `path` starts with a checkpoint magic this loader understands
-/// (v2 or legacy v1). Cheap: reads four bytes.
+/// True when `path` starts with the checkpoint magic. Cheap: reads four
+/// bytes.
 bool is_checkpoint_file(const std::string& path);
 
 }  // namespace irf::serve

@@ -12,13 +12,21 @@
 #include "obs/trace.hpp"
 #include "pg/delta.hpp"
 #include "serve/checkpoint.hpp"
-#include "train/normalizer.hpp"
 
 namespace irf::serve {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Rough-map budget of a model-less (degraded-only) engine; with a pipeline
+/// loaded, its config governs.
+constexpr int kFallbackImageSize = 64;
+constexpr int kFallbackRoughIterations = 3;
+
+/// Resistor value edits that still count as an incremental delta; larger
+/// edit sets take the cold path.
+constexpr int kMaxStampEdits = 8;
 
 double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -30,12 +38,6 @@ void validate_options(const EngineOptions& options) {
   }
   if (options.queue_capacity < 1) {
     throw ConfigError("serve: queue_capacity must be >= 1");
-  }
-  if (options.fallback_image_size < 8 || options.fallback_rough_iterations < 1) {
-    throw ConfigError("serve: fallback image size/iterations out of range");
-  }
-  if (options.flight_recorder_capacity < 1) {
-    throw ConfigError("serve: flight_recorder_capacity must be >= 1");
   }
   for (int quota : options.priority_quotas) {
     if (quota < 0) throw ConfigError("serve: priority quotas must be >= 0");
@@ -76,17 +78,14 @@ struct Engine::CacheEntry {
 };
 
 Engine::Engine(core::IrFusionPipeline pipeline, EngineOptions options)
-    : options_(options), pipeline_(std::move(pipeline)),
-      flight_(static_cast<std::size_t>(std::max(1, options.flight_recorder_capacity))) {
+    : options_(options), pipeline_(std::move(pipeline)) {
   if (!pipeline_->is_fitted()) {
     throw ConfigError("serve: engine needs a fitted pipeline (fit() or checkpoint)");
   }
   start();
 }
 
-Engine::Engine(EngineOptions options)
-    : options_(options),
-      flight_(static_cast<std::size_t>(std::max(1, options.flight_recorder_capacity))) {
+Engine::Engine(EngineOptions options) : options_(options) {
   start();
 }
 
@@ -105,7 +104,6 @@ std::unique_ptr<Engine> Engine::from_checkpoint(const std::string& path,
 
 void Engine::start() {
   validate_options(options_);
-  paused_ = options_.start_paused;
   // Register the serving instruments up front so queue depth, cache
   // hit/miss and degraded counts appear in metrics snapshots even before
   // (or without) traffic — the dashboards key on their presence.
@@ -466,32 +464,19 @@ std::shared_ptr<Engine::CacheEntry> Engine::lookup_or_build(
   const Clock::time_point setup_start = Clock::now();
   entry->solver = std::make_unique<pg::PgSolver>(*entry->design);
   result.stages.setup_seconds = seconds_between(setup_start, Clock::now());
-  const int iterations = pipeline_ ? pipeline_->config().rough_iterations
-                                   : options_.fallback_rough_iterations;
-  const int image_size =
-      pipeline_ ? pipeline_->config().image_size : options_.fallback_image_size;
+  const int iterations =
+      pipeline_ ? pipeline_->config().rough_iterations : kFallbackRoughIterations;
+  const int image_size = pipeline_ ? pipeline_->config().image_size : kFallbackImageSize;
   const Clock::time_point solve_start = Clock::now();
   entry->rough = entry->solver->solve_rough(iterations);
   result.stages.solve_seconds = seconds_between(solve_start, Clock::now());
-  const pg::PgSolution& rough = entry->rough;
 
   const Clock::time_point feature_start = Clock::now();
-  train::Sample& sample = entry->sample;
-  sample.design_name = entry->design->name;
-  sample.kind = entry->design->kind;
   if (pipeline_) {
-    // Mirror IrFusionPipeline::analyze exactly: full stacks regardless of
-    // the ablation flags (the view() selects channels at inference time).
-    features::FeatureOptions opts;
-    opts.image_size = image_size;
-    opts.hierarchical = true;
-    opts.include_numerical = true;
-    sample.hier = features::extract_features(*entry->design, &rough, opts);
-    opts.hierarchical = false;
-    sample.flat = features::extract_features(*entry->design, &rough, opts);
+    entry->sample = train::make_inference_sample(*entry->design, entry->rough, image_size);
+  } else {
+    entry->sample.rough_bottom = features::label_map(*entry->design, entry->rough, image_size);
   }
-  sample.label = GridF(image_size, image_size, 0.0f);  // unused by inference
-  sample.rough_bottom = features::label_map(*entry->design, rough, image_size);
   result.stages.feature_seconds = seconds_between(feature_start, Clock::now());
   result.numerical_seconds = span.seconds();
 
@@ -516,7 +501,7 @@ std::shared_ptr<Engine::CacheEntry> Engine::build_warm(
     std::uint64_t topology_hash, const std::shared_ptr<CacheEntry>& base,
     AnalysisResult& result) {
   const pg::DesignDelta delta = pg::classify_design_delta(
-      *base->design, *request.design, options_.max_stamp_edits);
+      *base->design, *request.design, kMaxStampEdits);
   if (!delta.compatible) {
     {
       std::lock_guard<std::mutex> lk(cache_mutex_);
@@ -573,10 +558,9 @@ std::shared_ptr<Engine::CacheEntry> Engine::build_warm(
     const Clock::time_point setup_start = Clock::now();
     solver->rebind(*entry->design);
     result.stages.setup_seconds = seconds_between(setup_start, Clock::now());
-    const int iterations = pipeline_ ? pipeline_->config().rough_iterations
-                                     : options_.fallback_rough_iterations;
-    const int image_size =
-        pipeline_ ? pipeline_->config().image_size : options_.fallback_image_size;
+    const int iterations =
+        pipeline_ ? pipeline_->config().rough_iterations : kFallbackRoughIterations;
+    const int image_size = pipeline_ ? pipeline_->config().image_size : kFallbackImageSize;
     const double target_residual =
         std::max(base->rough.final_relative_residual, 1e-14);
     const int max_iterations = std::max(2 * iterations, 8);
@@ -595,17 +579,9 @@ std::shared_ptr<Engine::CacheEntry> Engine::build_warm(
     dirty.currents = delta.currents_changed || delta.resistor_edits > 0;
     dirty.wire_values = delta.resistor_edits > 0;
     if (pipeline_) {
-      features::FeatureOptions opts;
-      opts.image_size = image_size;
-      opts.hierarchical = true;
-      opts.include_numerical = true;
-      features::refresh_features(entry->sample.hier, *entry->design, &entry->rough,
-                                 opts, dirty);
-      opts.hierarchical = false;
-      features::refresh_features(entry->sample.flat, *entry->design, &entry->rough,
-                                 opts, dirty);
-    }
-    if (dirty.numerical) {
+      train::refresh_inference_sample(entry->sample, *entry->design, entry->rough,
+                                      image_size, dirty);
+    } else if (dirty.numerical) {
       entry->sample.rough_bottom =
           features::label_map(*entry->design, entry->rough, image_size);
     }
@@ -777,49 +753,16 @@ void Engine::process_batch(std::vector<std::shared_ptr<Pending>> batch) {
     try {
       obs::ScopedSpan infer_span("serve_infer", "serve");
       infer_span.add_arg("batch", static_cast<double>(alive.size()));
-      const train::FeatureView view = pipeline_->view();
-      const train::Normalizer& normalizer = pipeline_->normalizer();
       const int n = static_cast<int>(alive.size());
-      nn::Tensor first = normalizer.input_tensor(alive.front().entry->sample, view);
-      const nn::Shape single = first.shape();
-      nn::Shape batched_shape{n, single.c, single.h, single.w};
-      std::vector<float> data;
-      data.reserve(static_cast<std::size_t>(batched_shape.numel()));
-      data.insert(data.end(), first.data().begin(), first.data().end());
-      for (int i = 1; i < n; ++i) {
-        nn::Tensor t = normalizer.input_tensor(alive[static_cast<std::size_t>(i)]
-                                                   .entry->sample, view);
-        if (!(t.shape() == single)) {
-          throw DimensionError("serve: mixed input shapes in one batch");
-        }
-        data.insert(data.end(), t.data().begin(), t.data().end());
-      }
-      nn::Tensor batched = nn::Tensor::from_data(batched_shape, std::move(data));
-      pipeline_->model().set_training(false);
-      nn::Tensor out = pipeline_->model().forward(batched);
-      IRF_CHECK_FINITE(out.data(), "serve batched inference output");
-      const nn::Shape os = out.shape();
-      if (os.n != n || os.c != 1 || os.h != single.h || os.w != single.w) {
-        throw DimensionError("serve: model returned " + os.str());
-      }
-      const std::size_t plane =
-          static_cast<std::size_t>(single.h) * static_cast<std::size_t>(single.w);
-      const bool add_rough = pipeline_->refines_rough_solution();
+      std::vector<const train::Sample*> samples;
+      samples.reserve(alive.size());
+      for (const Work& w : alive) samples.push_back(&w.entry->sample);
+      std::vector<GridF> maps = pipeline_->predict(samples);
       const Clock::time_point infer_end = Clock::now();
       const double infer_seconds = seconds_between(infer_start, infer_end);
       for (int i = 0; i < n; ++i) {
         Work& w = alive[static_cast<std::size_t>(i)];
-        GridF map(single.h, single.w);
-        const float* src = out.data().data() + static_cast<std::size_t>(i) * plane;
-        for (std::size_t j = 0; j < plane; ++j) {
-          map.data()[j] = src[j] / train::kLabelScale;
-        }
-        if (add_rough) {
-          for (std::size_t j = 0; j < plane; ++j) {
-            map.data()[j] += w.result.rough.data()[j];
-          }
-        }
-        w.result.ir_drop = std::move(map);
+        w.result.ir_drop = std::move(maps[static_cast<std::size_t>(i)]);
         w.result.status = ResultStatus::kOk;
         w.result.batch_size = n;
         w.result.inference_seconds = infer_seconds;

@@ -10,20 +10,21 @@
 ///    (the numerical kernels underneath fan out on the irf::par pool);
 ///  * per-design cache keyed by design_content_hash(): the assembled MNA
 ///    system + AMG hierarchy (the PgSolver) and the fused feature stacks
-///    are computed once per design and reused, LRU-evicted under a byte
-///    budget;
-///  * cross-request batched inference: the refinement forwards of every
-///    request in a dispatch batch are stacked into one [N,C,H,W] model
-///    call. Per-sample kernels make this bit-identical to serial analyze()
-///    (tests/test_serve.cpp pins it);
+///    (train::make_inference_sample, the recipe analyze() uses) are
+///    computed once per design and reused, LRU-evicted under a byte budget;
+///  * cross-request batched inference: the samples of every request in a
+///    dispatch batch go through one IrFusionPipeline::predict call, one
+///    [N,C,H,W] forward. Per-sample kernels make this bit-identical to
+///    serial analyze() (tests/test_serve.cpp pins it);
 ///  * robustness: per-request deadlines checked at stage boundaries,
 ///    cancellation, and graceful degradation to the rough numerical map —
 ///    flagged in the result — when no model is loaded or inference throws.
 ///
 ///  * incremental re-analysis: a content-cache miss whose design matches a
-///    cached entry's topology up to a bounded value delta reuses that
-///    entry's AMG hierarchy and rough solution (warm-started PCG) and
-///    refreshes only the delta-dependent feature maps (docs/API.md).
+///    cached entry's topology up to a bounded value delta (at most 8
+///    resistor edits) reuses that entry's AMG hierarchy and rough solution
+///    (warm-started PCG) and refreshes only the delta-dependent feature maps
+///    (train::refresh_inference_sample, docs/API.md).
 ///
 /// Telemetry: serve.queue.depth / serve.cache.bytes gauges, cache
 /// hit/miss/eviction + warm_hits/warm_fallbacks + degraded/timeout
@@ -32,10 +33,13 @@
 /// serve_infer_share / serve_request all carry the request's `req_id` arg,
 /// alongside the batch-level serve_batch / serve_infer spans. Each
 /// AnalysisResult returns the per-stage latency breakdown (StageTimings)
-/// and the solver convergence behind its rough map. A fixed-size flight
-/// recorder retains recent engine events and is dumped as JSON on
-/// degradation, deadline miss, warm fallback or CheckError
-/// (docs/OBSERVABILITY.md).
+/// and the solver convergence behind its rough map. A flight recorder of
+/// obs::FlightRecorder::kDefaultCapacity (256) recent engine events is
+/// dumped as JSON on degradation, deadline miss, warm fallback or
+/// CheckError (docs/OBSERVABILITY.md).
+///
+/// A model-less engine serves the rough map at 64 px after 3 rough
+/// iterations; with a pipeline loaded, its config sets both.
 
 #include <chrono>
 #include <condition_variable>

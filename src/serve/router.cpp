@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
-#include "models/unet.hpp"
 #include "nn/serialize.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -22,23 +20,17 @@ void validate_router_options(const RouterOptions& options) {
   }
 }
 
-/// Clone a fitted pipeline for an extra shard: rebuild the architecture
-/// from its config and copy the full trainable state through an in-memory
-/// stream. The clone's weights are bit-identical, so every shard computes
+/// Clone a fitted pipeline for an extra shard: copy the full trainable
+/// state through an in-memory stream into a pipeline restored from the same
+/// config. The clone's weights are bit-identical, so every shard computes
 /// the same refinement for the same request. The source is non-const only
 /// because weight traversal is a mutable operation on the module tree; it
 /// is not modified.
 core::IrFusionPipeline clone_fitted(core::IrFusionPipeline& source) {
-  const core::PipelineConfig& config = source.config();
   std::stringstream state(std::ios::in | std::ios::out | std::ios::binary);
   nn::save_state(source.model(), state);
-  Rng rng(config.seed);
-  std::unique_ptr<models::IrModel> model = models::make_ir_fusion_net(
-      source.model().in_channels(), config.base_channels, rng,
-      config.use_inception, config.use_cbam);
-  nn::load_state(*model, state);
-  return core::IrFusionPipeline::restore(config, source.normalizer(),
-                                         std::move(model));
+  return core::IrFusionPipeline::restore(source.config(), source.normalizer(),
+                                         source.model().in_channels(), state);
 }
 
 }  // namespace

@@ -53,24 +53,9 @@ DesignSet build_design_set(const ScaleConfig& config) {
 Sample make_sample(const PreparedDesign& prepared, int rough_iterations, int image_size) {
   if (rough_iterations < 1) throw ConfigError("rough_iterations must be >= 1");
   obs::count("train.samples_built");
-  Sample s;
-  s.design_name = prepared.design->name;
-  s.kind = prepared.design->kind;
-
   const pg::PgSolution rough = prepared.solver->solve_rough(rough_iterations);
-
-  features::FeatureOptions hier_opts;
-  hier_opts.image_size = image_size;
-  hier_opts.hierarchical = true;
-  hier_opts.include_numerical = true;
-  s.hier = features::extract_features(*prepared.design, &rough, hier_opts);
-
-  features::FeatureOptions flat_opts = hier_opts;
-  flat_opts.hierarchical = false;
-  s.flat = features::extract_features(*prepared.design, &rough, flat_opts);
-
+  Sample s = make_inference_sample(*prepared.design, rough, image_size);
   s.label = features::label_map(*prepared.design, prepared.golden, image_size);
-  s.rough_bottom = features::label_map(*prepared.design, rough, image_size);
   return s;
 }
 

@@ -65,4 +65,34 @@ Sample rotated(const Sample& sample, int quarter_turns) {
   return out;
 }
 
+Sample make_inference_sample(const pg::PgDesign& design, const pg::PgSolution& rough,
+                             int image_size) {
+  Sample s;
+  s.design_name = design.name;
+  s.kind = design.kind;
+  features::FeatureOptions opts;
+  opts.image_size = image_size;
+  opts.hierarchical = true;
+  opts.include_numerical = true;
+  s.hier = features::extract_features(design, &rough, opts);
+  opts.hierarchical = false;
+  s.flat = features::extract_features(design, &rough, opts);
+  s.label = GridF(image_size, image_size, 0.0f);
+  s.rough_bottom = features::label_map(design, rough, image_size);
+  return s;
+}
+
+void refresh_inference_sample(Sample& sample, const pg::PgDesign& design,
+                              const pg::PgSolution& rough, int image_size,
+                              const features::DirtyChannels& dirty) {
+  features::FeatureOptions opts;
+  opts.image_size = image_size;
+  opts.hierarchical = true;
+  opts.include_numerical = true;
+  features::refresh_features(sample.hier, design, &rough, opts, dirty);
+  opts.hierarchical = false;
+  features::refresh_features(sample.flat, design, &rough, opts, dirty);
+  if (dirty.numerical) sample.rough_bottom = features::label_map(design, rough, image_size);
+}
+
 }  // namespace irf::train

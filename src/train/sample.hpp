@@ -13,6 +13,7 @@
 #include "features/extractor.hpp"
 #include "nn/tensor.hpp"
 #include "pg/design.hpp"
+#include "pg/solve.hpp"
 
 namespace irf::train {
 
@@ -46,5 +47,20 @@ int view_channel_count(const Sample& sample, FeatureView view);
 /// Rotate everything in the sample clockwise by `quarter_turns` x 90 degrees
 /// (the paper's data augmentation).
 Sample rotated(const Sample& sample, int quarter_turns);
+
+/// The fusion recipe of Fig. 2 for one design: both feature stacks
+/// (hierarchical and flat, numerical maps included, so any view can select
+/// its channels) and the rough bottom-layer map from `rough`, all at
+/// image_size x image_size. The label is zero; training callers set their
+/// own. Training, analyze() and the serving engine all build samples here.
+Sample make_inference_sample(const pg::PgDesign& design, const pg::PgSolution& rough,
+                             int image_size);
+
+/// Warm-path refresh of a sample built by make_inference_sample on a
+/// topology-identical design: rebuilds only the channel groups `dirty`
+/// marks in both stacks, and the rough map when the numerical maps changed.
+void refresh_inference_sample(Sample& sample, const pg::PgDesign& design,
+                              const pg::PgSolution& rough, int image_size,
+                              const features::DirtyChannels& dirty);
 
 }  // namespace irf::train

@@ -80,15 +80,48 @@ TrainHistory train_model(models::IrModel& model, const std::vector<Sample>& samp
   return history;
 }
 
+std::vector<GridF> predict_volts(models::IrModel& model,
+                                 const std::vector<const Sample*>& samples,
+                                 FeatureView view, const Normalizer& normalizer) {
+  if (samples.empty()) throw ConfigError("predict_volts: empty sample list");
+  obs::ScopedSpan span("infer", "train");
+  obs::count("train.inferences", samples.size());
+  model.set_training(false);
+  const int n = static_cast<int>(samples.size());
+  nn::Tensor input = normalizer.input_tensor(*samples.front(), view);
+  const nn::Shape single = input.shape();
+  if (n > 1) {
+    std::vector<float> data = std::move(input.data());
+    data.reserve(static_cast<std::size_t>(n) * data.size());
+    for (int i = 1; i < n; ++i) {
+      const nn::Tensor t = normalizer.input_tensor(*samples[static_cast<std::size_t>(i)], view);
+      if (!(t.shape() == single)) {
+        throw DimensionError("predict_volts: mixed input shapes in one batch");
+      }
+      data.insert(data.end(), t.data().begin(), t.data().end());
+    }
+    input = nn::Tensor::from_data(nn::Shape{n, single.c, single.h, single.w},
+                                  std::move(data));
+  }
+  const nn::Tensor out = model.forward(input);
+  IRF_CHECK_FINITE(out.data(), "model forward output");
+  const nn::Shape& os = out.shape();
+  if (os.n != n || os.c != 1 || os.h != single.h || os.w != single.w) {
+    throw DimensionError("predict_volts: model returned " + os.str());
+  }
+  std::vector<GridF> maps;
+  maps.reserve(samples.size());
+  for (int i = 0; i < n; ++i) {
+    GridF map = out.to_grid(i, 0);
+    for (float& v : map.data()) v /= kLabelScale;
+    maps.push_back(std::move(map));
+  }
+  return maps;
+}
+
 GridF predict_volts(models::IrModel& model, const Sample& sample, FeatureView view,
                     const Normalizer& normalizer) {
-  obs::ScopedSpan span("infer", "train");
-  obs::count("train.inferences");
-  model.set_training(false);
-  nn::Tensor input = normalizer.input_tensor(sample, view);
-  nn::Tensor pred = model.forward(input);
-  IRF_CHECK_FINITE(pred.data(), "model forward output");
-  return Normalizer::prediction_to_volts(pred);
+  return std::move(predict_volts(model, {&sample}, view, normalizer).front());
 }
 
 AggregateMetrics evaluate_model(models::IrModel& model, const std::vector<Sample>& samples,

@@ -47,7 +47,15 @@ TrainHistory train_model(models::IrModel& model, const std::vector<Sample>& samp
                          FeatureView view, const Normalizer& normalizer,
                          const TrainOptions& options);
 
-/// Per-design prediction in volts.
+/// Batched prediction in volts: the inputs of every sample are stacked to
+/// [N,C,H,W], run through one forward, and each output plane is converted
+/// to volts. Throws irf::DimensionError when the inputs differ in shape or
+/// the model returns anything but [N,1,H,W]; the output must be finite.
+std::vector<GridF> predict_volts(models::IrModel& model,
+                                 const std::vector<const Sample*>& samples,
+                                 FeatureView view, const Normalizer& normalizer);
+
+/// Per-design prediction in volts (the batched form at N = 1).
 GridF predict_volts(models::IrModel& model, const Sample& sample, FeatureView view,
                     const Normalizer& normalizer);
 

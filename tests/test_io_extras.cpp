@@ -1,6 +1,7 @@
 // Tests for the ICCAD-2023-style dataset import/export layer and for
-// pipeline checkpointing (save a fitted pipeline, reload, identical
-// predictions without retraining).
+// pipeline checkpointing through serve::save_checkpoint/load_checkpoint
+// (save a fitted pipeline, reload, identical predictions without
+// retraining).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "common/env.hpp"
 #include "core/pipeline.hpp"
 #include "models/unet.hpp"
+#include "serve/checkpoint.hpp"
 #include "train/iccad_io.hpp"
 
 namespace irf::train {
@@ -128,16 +130,14 @@ TEST_F(IoFixture, PipelineCheckpointRoundTrip) {
 
   const std::string path =
       (fs::temp_directory_path() / "irf_pipeline_ckpt.bin").string();
-  pipeline.save(path);
-  core::IrFusionPipeline restored = core::IrFusionPipeline::load(path);
+  serve::save_checkpoint(pipeline, path);
+  core::IrFusionPipeline restored = serve::load_checkpoint(path);
   EXPECT_TRUE(restored.is_fitted());
   EXPECT_EQ(restored.config().rough_iterations, 2);
 
   const GridF after = restored.analyze(*set_->test.front().design);
   ASSERT_TRUE(before.same_shape(after));
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_NEAR(before.data()[i], after.data()[i], 1e-6f);
-  }
+  EXPECT_EQ(before.data(), after.data());
   fs::remove(path);
 }
 
@@ -145,14 +145,14 @@ TEST(PipelineCheckpoint, UnfittedSaveRejected) {
   core::PipelineConfig pc;
   pc.image_size = 32;
   core::IrFusionPipeline pipeline(pc);
-  EXPECT_THROW(pipeline.save("/tmp/never_written.bin"), ConfigError);
+  EXPECT_THROW(serve::save_checkpoint(pipeline, "/tmp/never_written.bin"), ConfigError);
 }
 
 TEST(PipelineCheckpoint, BogusFileRejected) {
   const std::string path =
       (fs::temp_directory_path() / "irf_bogus_ckpt.bin").string();
   std::ofstream(path) << "not a checkpoint";
-  EXPECT_THROW(core::IrFusionPipeline::load(path), ParseError);
+  EXPECT_THROW(serve::load_checkpoint(path), ParseError);
   fs::remove(path);
 }
 

@@ -26,6 +26,7 @@
 #include "features/extractor.hpp"
 #include "irf.hpp"
 #include "obs/obs.hpp"
+#include "serve_fixture.hpp"
 
 namespace irf::serve {
 namespace {
@@ -40,31 +41,25 @@ std::string temp_path(const std::string& stem) {
       .string();
 }
 
-core::PipelineConfig tiny_pipeline_config() {
-  core::PipelineConfig pc;
-  pc.image_size = 32;
-  pc.rough_iterations = 3;
-  pc.base_channels = 4;
-  pc.epochs = 2;
-  pc.seed = 5;
-  return pc;
-}
+using testing_support::tiny_pipeline_config;
 
 /// One tiny design set + one fitted pipeline + one saved checkpoint, shared
-/// across the suite (training is the expensive part).
+/// across the suite (training is the expensive part). Under ctest the
+/// pipeline is loaded from the checkpoint that tests/serve_fixture_model.cpp
+/// trained once for the whole run (fixture `serve_model`); a direct run of
+/// this binary trains it here.
 class ServeFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    ScaleConfig cfg = make_scale_config(Scale::kCi);
-    cfg.image_size = 32;
-    cfg.num_fake_designs = 3;
-    cfg.num_real_designs = 2;
-    cfg.epochs = 2;
-    cfg.base_channels = 4;
-    cfg.seed = 321;
-    set_ = std::make_unique<train::DesignSet>(train::build_design_set(cfg));
-    pipeline_ = std::make_unique<core::IrFusionPipeline>(tiny_pipeline_config());
-    pipeline_->fit(set_->train);
+    set_ = std::make_unique<train::DesignSet>(
+        train::build_design_set(testing_support::serve_fixture_scale()));
+    if (fs::exists(IRF_SERVE_FIXTURE_MODEL)) {
+      pipeline_ = std::make_unique<core::IrFusionPipeline>(
+          load_checkpoint(IRF_SERVE_FIXTURE_MODEL));
+    } else {
+      pipeline_ = std::make_unique<core::IrFusionPipeline>(tiny_pipeline_config());
+      pipeline_->fit(set_->train);
+    }
     checkpoint_path_ = std::make_unique<std::string>(temp_path("serve_fixture_model"));
     save_checkpoint(*pipeline_, *checkpoint_path_);
   }
@@ -161,15 +156,6 @@ TEST_F(ServeFixture, CheckpointDetectsTruncation) {
   fs::remove(path);
 }
 
-TEST_F(ServeFixture, LegacyV1CheckpointStillLoads) {
-  const std::string path = temp_path("serve_legacy_v1");
-  pipeline_->save(path);  // pre-redesign format
-  core::IrFusionPipeline restored = load_checkpoint(path);
-  fs::remove(path);
-  EXPECT_EQ(pipeline_->analyze(test_design()).data(),
-            restored.analyze(test_design()).data());
-}
-
 TEST_F(ServeFixture, IsCheckpointFileProbes) {
   EXPECT_TRUE(is_checkpoint_file(*checkpoint_path_));
   EXPECT_FALSE(is_checkpoint_file("/nonexistent/model.irf"));
@@ -208,21 +194,18 @@ TEST(EngineOptionsValidation, RejectsBadOptions) {
   opts = EngineOptions{};
   opts.queue_capacity = 0;
   EXPECT_THROW(Engine{opts}, ConfigError);
-  opts = EngineOptions{};
-  opts.fallback_image_size = 4;
-  EXPECT_THROW(Engine{opts}, ConfigError);
 }
 
 // --- engine: correctness ---------------------------------------------------
 
 TEST_F(ServeFixture, EngineMatchesDirectAnalyzeAcrossABatch) {
   EngineOptions opts;
-  opts.start_paused = true;  // force all requests into one dispatch batch
   // Generated fake designs of one size share a topology, so incremental
   // re-analysis would engage between them; this test pins the cold path's
   // bit-identity contract, so warm starts are off.
   opts.enable_warm_start = false;
   auto engine = Engine::from_checkpoint(*checkpoint_path_, opts);
+  engine->pause();  // force all requests into one dispatch batch
   ASSERT_TRUE(engine->has_model());
 
   std::vector<Engine::Ticket> tickets;
@@ -368,7 +351,7 @@ TEST_F(ServeFixture, WarmStartServesSupplyOnlyDelta) {
 }
 
 TEST_F(ServeFixture, WarmStartAcceptsBoundedResistorEdits) {
-  auto engine = Engine::from_checkpoint(*checkpoint_path_);  // max_stamp_edits = 8
+  auto engine = Engine::from_checkpoint(*checkpoint_path_);  // up to 8 edits stay warm
   const pg::PgDesign& base = *set_->train[0].design;
   ASSERT_TRUE(engine->analyze(base).ok());
   pg::PgDesign eco = base;
@@ -382,13 +365,11 @@ TEST_F(ServeFixture, WarmStartAcceptsBoundedResistorEdits) {
 }
 
 TEST_F(ServeFixture, WarmStartFallsBackWhenDeltaTooLarge) {
-  EngineOptions opts;
-  opts.max_stamp_edits = 2;
-  auto engine = Engine::from_checkpoint(*checkpoint_path_, opts);
+  auto engine = Engine::from_checkpoint(*checkpoint_path_);
   const pg::PgDesign& base = *set_->train[0].design;
   ASSERT_TRUE(engine->analyze(base).ok());
   pg::PgDesign eco = base;
-  for (std::size_t i = 0; i < 3; ++i) {
+  for (std::size_t i = 0; i < 9; ++i) {  // one past the 8 edits a warm delta may carry
     eco.netlist.set_resistor_ohms(i, base.netlist.resistors()[i].ohms * 1.5);
   }
   AnalysisResult r = engine->analyze(eco);
@@ -470,19 +451,17 @@ TEST_F(ServeFixture, CacheBytesAccountAllRetainedState) {
 TEST(EngineDegraded, ModelLessEngineServesRoughMap) {
   Rng rng(11);
   pg::PgDesign design = pg::generate_fake_design(32, rng, "degraded");
-  EngineOptions opts;
-  opts.fallback_image_size = 32;
-  opts.fallback_rough_iterations = 2;
-  Engine engine(opts);
+  Engine engine{EngineOptions{}};
   EXPECT_FALSE(engine.has_model());
   AnalysisResult r = engine.analyze(design);
   EXPECT_EQ(r.status, ResultStatus::kDegraded);
   EXPECT_TRUE(r.degraded);
   EXPECT_TRUE(r.has_map());
   EXPECT_FALSE(r.ok());
-  // Degraded output IS the rough numerical map at the fallback budget.
+  // Degraded output IS the rough numerical map at the fallback budget:
+  // 3 rough iterations at 64 px.
   pg::PgSolver solver(design);
-  const GridF expected = features::label_map(design, solver.solve_rough(2), 32);
+  const GridF expected = features::label_map(design, solver.solve_rough(3), 64);
   EXPECT_EQ(r.ir_drop.data(), expected.data());
   EXPECT_EQ(r.ir_drop.data(), r.rough.data());
   EXPECT_EQ(engine.stats().degraded, 1u);
@@ -516,9 +495,8 @@ TEST(EngineRobustness, QueuedRequestTimesOut) {
   Rng rng(14);
   auto design = std::make_shared<pg::PgDesign>(
       pg::generate_fake_design(32, rng, "timeout"));
-  EngineOptions opts;
-  opts.start_paused = true;  // deadlines keep ticking while paused
-  Engine engine(opts);
+  Engine engine{EngineOptions{}};
+  engine.pause();  // deadlines keep ticking while paused
   AnalysisRequest request;
   request.design = design;
   request.timeout_seconds = 0.01;
@@ -535,9 +513,8 @@ TEST(EngineRobustness, QueuedRequestCanBeCancelled) {
   Rng rng(15);
   auto design = std::make_shared<pg::PgDesign>(
       pg::generate_fake_design(32, rng, "cancel"));
-  EngineOptions opts;
-  opts.start_paused = true;
-  Engine engine(opts);
+  Engine engine{EngineOptions{}};
+  engine.pause();
   AnalysisRequest request;
   request.design = design;
   Engine::Ticket ticket = engine.submit(std::move(request));
@@ -555,9 +532,8 @@ TEST(EngineRobustness, ShutdownResolvesQueuedRequestsAsCancelled) {
       pg::generate_fake_design(32, rng, "shutdown"));
   std::future<AnalysisResult> orphan;
   {
-    EngineOptions opts;
-    opts.start_paused = true;
-    Engine engine(opts);
+    Engine engine{EngineOptions{}};
+    engine.pause();
     AnalysisRequest request;
     request.design = design;
     orphan = engine.submit(std::move(request)).result;
@@ -571,9 +547,9 @@ TEST(EngineRobustness, TrySubmitReportsBackpressure) {
   auto design = std::make_shared<pg::PgDesign>(
       pg::generate_fake_design(32, rng, "backpressure"));
   EngineOptions opts;
-  opts.start_paused = true;
   opts.queue_capacity = 1;
   Engine engine(opts);
+  engine.pause();
   AnalysisRequest request;
   request.design = design;
   std::optional<Engine::Ticket> first = engine.try_submit(request);
@@ -673,8 +649,6 @@ TEST(EngineFlight, DegradedRequestDumpsParseableFlightRecord) {
   Rng rng(21);
   pg::PgDesign design = pg::generate_fake_design(32, rng, "flight");
   EngineOptions opts;
-  opts.fallback_image_size = 32;
-  opts.fallback_rough_iterations = 2;
   opts.flight_dump_path = dump;
   Engine engine(opts);  // model-less: every request degrades
   AnalysisResult r = engine.analyze(design);
@@ -711,9 +685,9 @@ TEST(EngineFlight, DeadlineMissDumpsFlightRecord) {
   auto design = std::make_shared<pg::PgDesign>(
       pg::generate_fake_design(32, rng, "flight_deadline"));
   EngineOptions opts;
-  opts.start_paused = true;
   opts.flight_dump_path = dump;
   Engine engine(opts);
+  engine.pause();
   AnalysisRequest request;
   request.design = design;
   request.timeout_seconds = 0.01;
@@ -762,12 +736,6 @@ TEST_F(ServeFixture, TelemetryOnOffIsBitIdentical) {
   EXPECT_EQ(with_telemetry.data(), without_telemetry.data());
 }
 
-TEST(EngineFlight, RecorderCapacityIsValidated) {
-  EngineOptions opts;
-  opts.flight_recorder_capacity = 0;
-  EXPECT_THROW(Engine{opts}, ConfigError);
-}
-
 TEST(EngineCheckpoint, MissingFileDegradesOrThrows) {
   auto engine = Engine::from_checkpoint("/nonexistent/model.irf");
   EXPECT_FALSE(engine->has_model());
@@ -799,9 +767,9 @@ TEST(EngineAdmission, TrySubmitNeverBlocksUnderContention) {
   auto design = std::make_shared<pg::PgDesign>(
       pg::generate_fake_design(32, rng, "toctou"));
   EngineOptions opts;
-  opts.start_paused = true;
   opts.queue_capacity = 1;
   Engine engine(opts);
+  engine.pause();
 
   constexpr int kProducers = 8;
   std::vector<std::future<bool>> producers;
@@ -830,9 +798,9 @@ TEST(EngineAdmission, ShedsLowestPriorityFirstUnderSaturation) {
   auto design = std::make_shared<pg::PgDesign>(
       pg::generate_fake_design(32, rng, "shed"));
   EngineOptions opts;
-  opts.start_paused = true;
   opts.queue_capacity = 2;
   Engine engine(opts);
+  engine.pause();
 
   const auto submit_with = [&](Priority p) {
     AnalysisRequest request;
@@ -882,10 +850,10 @@ TEST(EngineAdmission, ClassQuotaRejectsAtAdmission) {
   auto design = std::make_shared<pg::PgDesign>(
       pg::generate_fake_design(32, rng, "quota"));
   EngineOptions opts;
-  opts.start_paused = true;
   opts.queue_capacity = 8;
   opts.priority_quotas[static_cast<int>(Priority::kInteractive)] = 1;
   Engine engine(opts);
+  engine.pause();
 
   AnalysisRequest request;
   request.design = design;
@@ -914,9 +882,8 @@ TEST(EngineStats, TimedOutResultCarriesDispatchBatchSize) {
   Rng rng(44);
   auto design = std::make_shared<pg::PgDesign>(
       pg::generate_fake_design(32, rng, "batchsize"));
-  EngineOptions opts;
-  opts.start_paused = true;
-  Engine engine(opts);
+  Engine engine{EngineOptions{}};
+  engine.pause();
   AnalysisRequest normal;
   normal.design = design;
   Engine::Ticket served = engine.submit(std::move(normal));
@@ -944,8 +911,6 @@ TEST(EngineDeadline, CompletedWorkWinsAfterLastDeadlineCheck) {
   auto design = std::make_shared<pg::PgDesign>(
       pg::generate_fake_design(32, rng, "overrun"));
   EngineOptions opts;
-  opts.fallback_image_size = 32;
-  opts.fallback_rough_iterations = 2;
   opts.debug_batch_delay_seconds = 0.4;
   Engine engine(opts);
 
@@ -1134,8 +1099,8 @@ TEST(RouterStats, AggregateMatchesPerShardBreakdown) {
 TEST(RouterRobustness, CancelReachesOwningShard) {
   RouterOptions ropts;
   ropts.num_shards = 2;
-  ropts.engine.start_paused = true;
   Router router(ropts);
+  router.pause();
   const auto designs = distinct_topology_designs(2);
   ASSERT_GE(designs.size(), 1u);
   AnalysisRequest request;
